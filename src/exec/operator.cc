@@ -390,14 +390,18 @@ ThreadPool* PoolOf(QueryContext* ctx) {
   return (pool != nullptr && pool->num_threads() > 1) ? pool : nullptr;
 }
 
-// Morsels per pipeline: aim for ~16K source rows each so claims amortize the
-// per-stream setup, but never fewer than one per worker (otherwise cores sit
-// idle) and never more than 8 per worker (clone state is not free). The
-// count only shapes scheduling; results are identical for every choice.
+// Morsels per pipeline, from its input volume (the operator's
+// MorselSourceRows). A volume of at most one morsel (~16K rows) comes to 1,
+// and every dispatch site then runs inline: a pool round trip costs more
+// than that much work saves. Above it, aim for ~16K rows each so claims
+// amortize the per-stream setup, but never fewer than one per worker
+// (otherwise cores sit idle) and never more than 8 per worker (clone state
+// is not free). The count only shapes scheduling; results are identical for
+// every choice.
 size_t MorselCount(size_t source_rows, size_t num_threads) {
   constexpr size_t kMorselRows = 16 * 1024;
-  const size_t by_rows =
-      source_rows == 0 ? 1 : (source_rows + kMorselRows - 1) / kMorselRows;
+  if (source_rows <= kMorselRows) return 1;
+  const size_t by_rows = (source_rows + kMorselRows - 1) / kMorselRows;
   return std::clamp(by_rows, num_threads, 8 * num_threads);
 }
 
@@ -669,8 +673,10 @@ StatusOr<bool> TryRunBatchParallel(PhysicalOperator& op, Table* table,
                                    QueryContext* ctx) {
   ThreadPool* pool = PoolOf(ctx);
   if (pool == nullptr || !op.SupportsMorselStreams()) return false;
-  auto streams_or = op.MakeMorselStreams(
-      MorselCount(op.MorselSourceRows(), pool->num_threads()));
+  const size_t morsels =
+      MorselCount(op.MorselSourceRows(), pool->num_threads());
+  if (morsels == 1) return false;
+  auto streams_or = op.MakeMorselStreams(morsels);
   if (!streams_or.ok()) return streams_or.status();
   std::vector<OperatorPtr> streams = std::move(*streams_or);
   if (streams.empty()) return false;
@@ -1353,12 +1359,14 @@ StatusOr<bool> HashMarginalize::TryDrainBatchesParallel() {
   // the serial schedule; only a commutative Add licenses that. (Per-key
   // order is preserved regardless — see the partition fold below.)
   if (!semiring_.AddIsCommutative()) return false;
+  // A single morsel would pay for the 16-partition fold and buy nothing.
+  const size_t morsels =
+      MorselCount(child_->MorselSourceRows(), pool->num_threads());
+  if (morsels == 1) return false;
   const size_t nkeys = key_indices_.size();
   std::optional<PackedKeyCodec> codec = MakeCodecFor(catalog_, group_vars_);
-  MPFDB_ASSIGN_OR_RETURN(
-      std::vector<OperatorPtr> streams,
-      child_->MakeMorselStreams(
-          MorselCount(child_->MorselSourceRows(), pool->num_threads())));
+  MPFDB_ASSIGN_OR_RETURN(std::vector<OperatorPtr> streams,
+                         child_->MakeMorselStreams(morsels));
   if (streams.empty()) return false;
   const size_t num_morsels = streams.size();
 
@@ -2276,13 +2284,12 @@ Status HashProductJoin::BuildBatches() {
   std::vector<double> staging_measures;
   std::vector<uint64_t> staged_keys;  // packed key per staged row (codec only)
   std::vector<uint32_t> next_row;     // insertion chains (vector keys only)
-  // Children that can report their source cardinality (scans and filters)
-  // let the staging vectors skip the doubling reallocations.
-  if (const size_t hint = right_->MorselSourceRows(); hint > 0) {
-    for (auto& col : staging_cols) col.reserve(hint);
-    staging_measures.reserve(hint);
-    if (st.codec) staged_keys.reserve(hint);
-  }
+  // Presizing the staging vectors skips their doubling reallocations.
+  auto reserve_staging = [&](size_t rows) {
+    for (auto& col : staging_cols) col.reserve(rows);
+    staging_measures.reserve(rows);
+    if (st.codec) staged_keys.reserve(rows);
+  };
   // A packed-key universe of <= 2^16 slots is cheap unconditionally, so the
   // dense perfect index is committed before the drain and counts piggyback
   // on each batch's just-encoded (cache-hot) keys. Larger universes are
@@ -2403,17 +2410,22 @@ Status HashProductJoin::BuildBatches() {
     }
     return Status::Ok();
   };
-  // Parallel pre-drain of the build side when a pool is available: morsel
-  // streams of the right child buffer their batches per stream, and the
-  // buffered batches replay through process_batch in stream order — exactly
-  // the serial staging order, so chaining and compaction stay byte-for-byte
-  // deterministic. Only the (usually dominant) production of build rows runs
-  // in parallel; hash-table insertion stays single-threaded.
+  // Parallel pre-drain of the build side when a pool is available and the
+  // build volume spans more than one morsel: morsel streams of the right
+  // child buffer their batches per stream, and the buffered batches replay
+  // through process_batch in stream order — exactly the serial staging
+  // order, so chaining and compaction stay byte-for-byte deterministic. Only
+  // the (usually dominant) production of build rows runs in parallel;
+  // hash-table insertion stays single-threaded.
   bool drained_parallel = false;
-  if (ThreadPool* pool = PoolOf(ctx_);
-      pool != nullptr && right_->SupportsMorselStreams()) {
-    auto streams_or = right_->MakeMorselStreams(
-        MorselCount(right_->MorselSourceRows(), pool->num_threads()));
+  ThreadPool* pool = PoolOf(ctx_);
+  size_t build_morsels = 1;
+  if (pool != nullptr) {
+    build_morsels =
+        MorselCount(right_->MorselSourceRows(), pool->num_threads());
+  }
+  if (build_morsels > 1 && right_->SupportsMorselStreams()) {
+    auto streams_or = right_->MakeMorselStreams(build_morsels);
     if (!streams_or.ok()) {
       // A budget breach while materializing a blocking child falls back to
       // the serial drain (which degrades to spill); real errors propagate.
@@ -2461,6 +2473,11 @@ Status HashProductJoin::BuildBatches() {
         return result;
       });
       if (drain.ok()) {
+        size_t rows = 0;
+        for (const auto& chunk : buffered) {
+          for (const RowBatch& b : chunk) rows += b.num_rows();
+        }
+        reserve_staging(rows);
         for (auto& chunk : buffered) {
           for (RowBatch& b : chunk) MPFDB_RETURN_IF_ERROR(process_batch(b));
         }
@@ -2475,6 +2492,9 @@ Status HashProductJoin::BuildBatches() {
     }
   }
   if (!drained_parallel) {
+    // Scans and filters report their source cardinality, an upper bound on
+    // the rows they yield.
+    reserve_staging(right_->MorselSourceRows());
     while (true) {
       auto has = right_->NextBatch(&batch);
       if (!has.ok()) {
@@ -2871,6 +2891,12 @@ StatusOr<bool> HashProductJoin::NextBatchSpill(RowBatch* out) {
     }
   }
   return !out->empty();
+}
+
+size_t HashProductJoin::MorselSourceRows() const {
+  const bool built = impl_ != nullptr && impl_->built;
+  return left_->MorselSourceRows() +
+         (built ? impl_->arena_rows : right_->MorselSourceRows());
 }
 
 StatusOr<std::vector<OperatorPtr>> HashProductJoin::MakeMorselStreams(

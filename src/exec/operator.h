@@ -74,8 +74,10 @@ class PhysicalOperator {
     (void)n;
     return std::vector<std::unique_ptr<PhysicalOperator>>{};
   }
-  // Approximate number of source rows feeding this operator's stream, used
-  // only to pick a morsel count; 0 when unknown.
+  // Approximate input volume of this operator's stream: the source rows
+  // feeding it, counting every input a join reads (build side included).
+  // Used only to pick a morsel count, and so whether a pipeline is worth
+  // sending to the pool at all (see MorselCount); 0 when unknown.
   virtual size_t MorselSourceRows() const { return 0; }
 
   virtual const Schema& output_schema() const = 0;
@@ -481,9 +483,9 @@ class HashProductJoin : public PhysicalOperator {
     return left_->SupportsMorselStreams();
   }
   StatusOr<std::vector<OperatorPtr>> MakeMorselStreams(size_t n) override;
-  size_t MorselSourceRows() const override {
-    return left_->MorselSourceRows();
-  }
+  // Probe rows plus build rows: a short probe into a large build side still
+  // fans out into a lot of work.
+  size_t MorselSourceRows() const override;
   const Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "HashProductJoin"; }
 

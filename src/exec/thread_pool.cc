@@ -131,7 +131,11 @@ Status ThreadPool::ParallelFor(size_t num_tasks,
     std::lock_guard<std::mutex> lock(mu_);
     jobs_.push_back(&job);
   }
-  job_ready_.notify_all();
+  dispatched_jobs_.fetch_add(1, std::memory_order_relaxed);
+  // The caller claims tasks too, so at most num_tasks - 1 workers can help.
+  // Waking more would only have them find the job exhausted and sleep again.
+  const size_t helpers = std::min(num_tasks - 1, workers_.size());
+  for (size_t i = 0; i < helpers; ++i) job_ready_.notify_one();
 
   // The calling thread is a full participant in the claim loop.
   RunJob(job);

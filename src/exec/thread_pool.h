@@ -45,6 +45,12 @@ class ThreadPool {
 
   size_t num_threads() const { return num_threads_; }
 
+  // Number of ParallelFor calls that posted a job to the workers, i.e. did
+  // not run inline. Lets tests prove a parallel path really went parallel.
+  uint64_t dispatched_jobs() const {
+    return dispatched_jobs_.load(std::memory_order_relaxed);
+  }
+
   // Runs fn(i) for every i in [0, num_tasks). The calling thread
   // participates; the call returns only after every claimed task finished.
   // Once any task fails, unclaimed tasks are abandoned (their fn never
@@ -66,6 +72,7 @@ class ThreadPool {
   std::condition_variable job_ready_;
   std::deque<Job*> jobs_;  // guarded by mu_; every entry has unretired tasks
   bool shutdown_ = false;  // guarded by mu_
+  std::atomic<uint64_t> dispatched_jobs_{0};
 };
 
 }  // namespace mpfdb::exec

@@ -54,43 +54,12 @@ std::string Semiring::aggregate_name() const {
   return "AGG";
 }
 
-double Semiring::Add(double a, double b) const {
-  switch (kind_) {
-    case SemiringKind::kSumProduct:
-      return a + b;
-    case SemiringKind::kMinSum:
-      return std::min(a, b);
-    case SemiringKind::kMaxSum:
-    case SemiringKind::kMaxProduct:
-      return std::max(a, b);
-    case SemiringKind::kBoolOrAnd:
-      return (a != 0.0 || b != 0.0) ? 1.0 : 0.0;
-    case SemiringKind::kLogSumProduct: {
-      // Stable log(exp(a) + exp(b)).
-      if (a == -std::numeric_limits<double>::infinity()) return b;
-      if (b == -std::numeric_limits<double>::infinity()) return a;
-      double hi = std::max(a, b);
-      double lo = std::min(a, b);
-      return hi + std::log1p(std::exp(lo - hi));
-    }
-  }
-  return 0.0;
-}
-
-double Semiring::Multiply(double a, double b) const {
-  switch (kind_) {
-    case SemiringKind::kSumProduct:
-    case SemiringKind::kMaxProduct:
-      return a * b;
-    case SemiringKind::kMinSum:
-    case SemiringKind::kMaxSum:
-      return a + b;
-    case SemiringKind::kBoolOrAnd:
-      return (a != 0.0 && b != 0.0) ? 1.0 : 0.0;
-    case SemiringKind::kLogSumProduct:
-      return a + b;
-  }
-  return 0.0;
+double Semiring::LogSumExp(double a, double b) {
+  if (a == -std::numeric_limits<double>::infinity()) return b;
+  if (b == -std::numeric_limits<double>::infinity()) return a;
+  double hi = std::max(a, b);
+  double lo = std::min(a, b);
+  return hi + std::log1p(std::exp(lo - hi));
 }
 
 double Semiring::AddIdentity() const {

@@ -1,6 +1,7 @@
 #ifndef MPFDB_SEMIRING_SEMIRING_H_
 #define MPFDB_SEMIRING_SEMIRING_H_
 
+#include <algorithm>
 #include <string>
 
 #include "util/status.h"
@@ -30,8 +31,9 @@ enum class SemiringKind {
   kLogSumProduct,
 };
 
-// Runtime semiring descriptor. Cheap value type; all operations are branchy
-// but trivially inlined in the executor's hot loops via Kind() switches.
+// Runtime semiring descriptor. Cheap value type; Add and Multiply are
+// branchy but defined here, so the executor's hot loops inline their
+// switches (only log-sum-exp calls out of line).
 class Semiring {
  public:
   explicit Semiring(SemiringKind kind) : kind_(kind) {}
@@ -56,9 +58,37 @@ class Semiring {
   std::string aggregate_name() const;
 
   // The additive (marginalization) operation.
-  double Add(double a, double b) const;
+  double Add(double a, double b) const {
+    switch (kind_) {
+      case SemiringKind::kSumProduct:
+        return a + b;
+      case SemiringKind::kMinSum:
+        return std::min(a, b);
+      case SemiringKind::kMaxSum:
+      case SemiringKind::kMaxProduct:
+        return std::max(a, b);
+      case SemiringKind::kBoolOrAnd:
+        return (a != 0.0 || b != 0.0) ? 1.0 : 0.0;
+      case SemiringKind::kLogSumProduct:
+        return LogSumExp(a, b);
+    }
+    return 0.0;
+  }
   // The multiplicative (product-join) operation.
-  double Multiply(double a, double b) const;
+  double Multiply(double a, double b) const {
+    switch (kind_) {
+      case SemiringKind::kSumProduct:
+      case SemiringKind::kMaxProduct:
+        return a * b;
+      case SemiringKind::kMinSum:
+      case SemiringKind::kMaxSum:
+      case SemiringKind::kLogSumProduct:
+        return a + b;
+      case SemiringKind::kBoolOrAnd:
+        return (a != 0.0 && b != 0.0) ? 1.0 : 0.0;
+    }
+    return 0.0;
+  }
 
   // Identity of Add: the value of an empty aggregate.
   double AddIdentity() const;
@@ -133,6 +163,9 @@ class Semiring {
   bool operator==(const Semiring& other) const { return kind_ == other.kind_; }
 
  private:
+  // Stable log(exp(a) + exp(b)), log-sum-product's Add.
+  static double LogSumExp(double a, double b);
+
   SemiringKind kind_;
 };
 

@@ -28,7 +28,12 @@ uint64_t NextRandom(uint64_t* state) {
 void FaultInjector::Install(const Config& config) {
   auto* fi = new FaultInjector();
   fi->config_ = config;
-  fi->rng_state_ = config.seed * 0x9e3779b97f4a7c15ULL + 1;
+  // Mix the seed once before use. splitmix64 steps its state by a fixed
+  // increment, so a state linear in the seed would make seed s + 1 replay
+  // seed s's draws shifted by one IO instead of drawing a schedule of its
+  // own.
+  uint64_t seed_state = config.seed;
+  fi->rng_state_ = NextRandom(&seed_state);
   std::unique_lock<std::shared_mutex> lock(g_injector_mu);
   delete g_injector.exchange(fi, std::memory_order_acq_rel);
 }

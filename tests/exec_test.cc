@@ -731,6 +731,10 @@ TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
   });
   ASSERT_TRUE(s.ok()) << s;
   for (size_t i = 0; i < kTasks; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
+  // One posted job; a single task runs inline and posts nothing.
+  EXPECT_EQ(pool.dispatched_jobs(), 1u);
+  ASSERT_TRUE(pool.ParallelFor(1, [](size_t) { return Status::Ok(); }).ok());
+  EXPECT_EQ(pool.dispatched_jobs(), 1u);
 }
 
 TEST(ThreadPoolTest, ReportsLowestIndexedFailure) {
@@ -760,6 +764,8 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   });
   ASSERT_TRUE(s.ok()) << s;
   EXPECT_EQ(total.load(), 64);
+  // Only the outer call reached the workers.
+  EXPECT_EQ(pool.dispatched_jobs(), 1u);
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolRunsInlineAndSequentially) {
@@ -773,6 +779,7 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInlineAndSequentially) {
   std::vector<size_t> expected(16);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
+  EXPECT_EQ(pool.dispatched_jobs(), 0u);
 }
 
 }  // namespace

@@ -164,14 +164,23 @@ struct RandomPlan {
   TablePtr a, b, c;
   std::vector<std::string> group_vars;
 
-  static RandomPlan Make(Rng& rng) {
+  // `large` grows c, the top join's build side, past one morsel (16 Ki
+  // rows), so a thread pool really gets a job instead of running the plan
+  // inline. Its z values spread over 64x the shared domain, which keeps the
+  // join fan-out, and so the spill volume, close to the small plan's.
+  static RandomPlan Make(Rng& rng, bool large = false) {
     RandomPlan p;
     // Keep rows comfortably below dom^2 so unique-tuple sampling terminates.
     size_t rows = 100 + static_cast<size_t>(rng.UniformInt(0, 100));
     int64_t dom = 20 + rng.UniformInt(0, 8);
     p.a = RandomUnitTable("a", {"x", "y"}, {dom, dom}, rows, rng);
     p.b = RandomUnitTable("b", {"y", "z"}, {dom, dom}, rows, rng);
-    p.c = RandomUnitTable("c", {"z", "w"}, {dom, dom}, rows, rng);
+    if (large) {
+      p.c = RandomUnitTable("c", {"z", "w"}, {64 * dom, 16}, 17000 + rows,
+                            rng);
+    } else {
+      p.c = RandomUnitTable("c", {"z", "w"}, {dom, dom}, rows, rng);
+    }
     p.group_vars = rng.UniformInt(0, 1) == 0
                        ? std::vector<std::string>{"x"}
                        : std::vector<std::string>{"x", "w"};
@@ -347,7 +356,7 @@ class ScopedTempDir {
 // kCancelled — and either way all memory charges and spill files are gone.
 TEST(ParallelStressTest, MidQueryCancellationFromAnotherThread) {
   Rng rng(42);
-  RandomPlan plan = RandomPlan::Make(rng);
+  RandomPlan plan = RandomPlan::Make(rng, /*large=*/true);
   auto golden_root = plan.Build();
   auto golden = ::mpfdb::exec::RunBatch(*golden_root, "golden");
   ASSERT_TRUE(golden.ok()) << golden.status();
@@ -393,6 +402,7 @@ TEST(ParallelStressTest, MidQueryCancellationFromAnotherThread) {
   // A cancel requested before any work must always take effect; the delayed
   // ones may race either way.
   EXPECT_GT(cancelled, 0u);
+  EXPECT_GT(pool.dispatched_jobs(), 0u);
 }
 
 // Deadlines on parallel queries: an expired deadline always surfaces as
@@ -400,7 +410,7 @@ TEST(ParallelStressTest, MidQueryCancellationFromAnotherThread) {
 // it cleanly. Charges and spill files unwind in every outcome.
 TEST(ParallelStressTest, DeadlineObservedByParallelWorkers) {
   Rng rng(43);
-  RandomPlan plan = RandomPlan::Make(rng);
+  RandomPlan plan = RandomPlan::Make(rng, /*large=*/true);
   ThreadPool pool(4);
 
   // Already-expired deadline: must fail, never crash or hang.
@@ -442,6 +452,7 @@ TEST(ParallelStressTest, DeadlineObservedByParallelWorkers) {
     EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
     EXPECT_EQ(spill_dir.NumFiles(), 0u);
   }
+  EXPECT_GT(pool.dispatched_jobs(), 0u);
 }
 
 // Injected IO faults under parallel spilling execution, seeds 1-8: each run
@@ -458,7 +469,7 @@ TEST(ParallelStressTest, FaultSeedsUnderParallelSpillLeaveNoSpillFiles) {
   size_t completed = 0, failed = 0;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed * 7919 + env_seed * 104729);
-    RandomPlan plan = RandomPlan::Make(rng);
+    RandomPlan plan = RandomPlan::Make(rng, /*large=*/true);
 
     auto golden_root = plan.Build();
     auto golden = ::mpfdb::exec::RunBatch(*golden_root, "golden");
@@ -500,6 +511,7 @@ TEST(ParallelStressTest, FaultSeedsUnderParallelSpillLeaveNoSpillFiles) {
   // some runs, and a 0.5% rate must let some complete.
   EXPECT_GT(completed, 0u);
   EXPECT_GT(failed, 0u);
+  EXPECT_GT(pool.dispatched_jobs(), 0u);
 }
 
 }  // namespace

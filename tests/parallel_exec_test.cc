@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bn/bayes_net.h"
 #include "core/database.h"
 #include "exec/executor.h"
 #include "exec/operator.h"
@@ -236,17 +237,19 @@ void SortCanonically(Table& table) {
 }
 
 // Large join-join-marginalize chains driven at the operator level, where the
-// inputs are big enough that every thread really owns several morsel
-// streams, the join build pre-drains in parallel, and the aggregation's
-// thread-local pre-aggregation merges across partitions.
+// inputs are big enough that the pipelines span several morsels, the join
+// build (c alone is over one morsel) pre-drains in parallel, and the
+// aggregation's thread-local pre-aggregation merges across partitions. A
+// domain of rows/4 keeps the join fan-out near 4 per key.
 TEST(ParallelChainTest, LargeChainBitIdenticalUnderThreadsAndSpill) {
   const uint64_t seed = CaseSeed(1);
   MPFDB_TRACE_SEED(seed);
   Rng rng(seed * 7919);
-  const int64_t dom = 90;
-  TablePtr a = RandomUnitTable("a", {"x", "y"}, {dom, dom}, 4000, rng);
-  TablePtr b = RandomUnitTable("b", {"y", "z"}, {dom, dom}, 4000, rng);
-  TablePtr c = RandomUnitTable("c", {"z", "w"}, {dom, dom}, 4000, rng);
+  const size_t rows = 20000;
+  const int64_t dom = static_cast<int64_t>(rows / 4);
+  TablePtr a = RandomUnitTable("a", {"x", "y"}, {dom, dom}, rows, rng);
+  TablePtr b = RandomUnitTable("b", {"y", "z"}, {dom, dom}, rows, rng);
+  TablePtr c = RandomUnitTable("c", {"z", "w"}, {dom, dom}, rows, rng);
 
   auto build = [&]() -> exec::OperatorPtr {
     auto ab = std::make_unique<exec::HashProductJoin>(
@@ -278,10 +281,12 @@ TEST(ParallelChainTest, LargeChainBitIdenticalUnderThreadsAndSpill) {
       }
       auto root = build();
       root->BindContext(&ctx);
+      const uint64_t jobs_before = pool.dispatched_jobs();
       auto result = exec::RunBatch(*root, "out", &ctx);
       std::string where = "threads=" + std::to_string(threads) +
                           (spill ? "/spill" : "/mem");
       ASSERT_TRUE(result.ok()) << where << ": " << result.status();
+      EXPECT_GT(pool.dispatched_jobs(), jobs_before) << where;
       SortCanonically(**result);
       EXPECT_TRUE(fr::TablesEqual(**golden, **result, /*tolerance=*/0.0))
           << where;
@@ -379,10 +384,12 @@ TEST(DatabaseParallelTest, ThreadCountNeverChangesAnswers) {
 
 // A caller-provided QueryContext that already carries a pool wins over the
 // Database-owned one, and governed parallel queries still account cleanly.
+// The scale puts the query above one morsel, so the caller's pool really
+// runs it.
 TEST(DatabaseParallelTest, CallerContextPoolIsRespected) {
   Database db;
   workload::SupplyChainParams params;
-  params.scale = 0.004;
+  params.scale = 0.03;
   params.seed = 11;
   auto schema = workload::GenerateSupplyChain(params, db.catalog());
   ASSERT_TRUE(schema.ok()) << schema.status();
@@ -396,9 +403,76 @@ TEST(DatabaseParallelTest, CallerContextPoolIsRespected) {
   ctx.set_thread_pool(&pool);
   auto parallel = db.Query("invest", MpfQuerySpec{{"cid"}, {}}, "cs+", &ctx);
   ASSERT_TRUE(parallel.ok()) << parallel.status();
+  EXPECT_GT(pool.dispatched_jobs(), 0u);
   EXPECT_TRUE(fr::TablesEqual(*serial->table, *parallel->table, 0.0));
   // The context still points at the caller's pool afterwards.
   EXPECT_EQ(ctx.thread_pool(), &pool);
+  EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
+}
+
+// Size-aware dispatch: a pipeline whose input volume is under one morsel
+// runs inline on the calling thread, and only bigger ones go to the pool.
+// Either way the answer is bit-identical to a serial run.
+
+// The served BN workload's shape: ~30 hash joins over 3-27-row CPTs. Every
+// pipeline is far under one morsel, so a 4-thread pool never sees a job.
+TEST(ParallelDispatchTest, SmallBayesNetQueriesRunInline) {
+  Database db;
+  Rng rng(2);
+  auto net = bn::RandomBayesNet(30, 2, 3, rng);
+  ASSERT_TRUE(net.ok()) << net.status();
+  auto view = net->ToMpfView(db.catalog());
+  ASSERT_TRUE(view.ok()) << view.status();
+  ASSERT_TRUE(db.CreateMpfView(*view).ok());
+
+  exec::ExecOptions serial_options;
+  serial_options.num_threads = 1;
+  db.set_exec_options(serial_options);
+  exec::ThreadPool pool(4);
+  for (int target : {0, 7, 18, 29}) {
+    for (int evidence : {3, 12, 25}) {
+      const MpfQuerySpec query{{"x" + std::to_string(target)},
+                               {{"x" + std::to_string(evidence), 1}}};
+      const std::string where =
+          query.group_vars[0] + "|" + query.selections[0].var;
+      auto serial = db.Query(view->name, query, "ve(deg) ext.");
+      ASSERT_TRUE(serial.ok()) << where << ": " << serial.status();
+      QueryContext ctx;
+      ctx.set_thread_pool(&pool);
+      auto pooled = db.Query(view->name, query, "ve(deg) ext.", &ctx);
+      ASSERT_TRUE(pooled.ok()) << where << ": " << pooled.status();
+      EXPECT_TRUE(fr::TablesEqual(*serial->table, *pooled->table, 0.0))
+          << where;
+    }
+  }
+  EXPECT_EQ(pool.dispatched_jobs(), 0u);
+}
+
+// Fig. 7 Q1 on the supply chain at scale 0.3: the ctdeals build side alone
+// spans several morsels, so the same pool does dispatch.
+TEST(ParallelDispatchTest, SupplyChainQ1Dispatches) {
+  Database db;
+  workload::SupplyChainParams params;
+  params.scale = 0.3;
+  params.location_factor = 0.1;
+  auto schema = workload::GenerateSupplyChain(params, db.catalog());
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  ASSERT_TRUE(db.CreateMpfView(schema->view).ok());
+  const MpfQuerySpec q1{{"cid"}, {}};
+
+  exec::ExecOptions serial_options;
+  serial_options.num_threads = 1;
+  db.set_exec_options(serial_options);
+  auto serial = db.Query(schema->view.name, q1);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+
+  exec::ThreadPool pool(4);
+  QueryContext ctx;
+  ctx.set_thread_pool(&pool);
+  auto pooled = db.Query(schema->view.name, q1, "cs+nonlinear", &ctx);
+  ASSERT_TRUE(pooled.ok()) << pooled.status();
+  EXPECT_GT(pool.dispatched_jobs(), 0u);
+  EXPECT_TRUE(fr::TablesEqual(*serial->table, *pooled->table, 0.0));
   EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
 }
 

@@ -200,6 +200,69 @@ TEST_P(PhysicalExecDifferentialTest, FaqAcyclicMatchesForcedHash) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PhysicalExecDifferentialTest,
                          ::testing::Range<uint64_t>(1, 9));
 
+// The random views above hold a few dozen rows, so they now run inline at
+// every thread count. This sweep repeats their semiring x optimizer x
+// threads matrix on a chain whose input spans several morsels, so the
+// 4-thread runs really go through the pool. A domain of rows/4 keeps the
+// join fan-out near 4 per key. Spill stays with the sweeps above: at this
+// size a spilled plan's sum-product answer is 1 ULP off the in-memory one
+// in a third of the groups, even on one thread.
+TEST(PhysicalExecTest, ThreadSweepAboveOneMorselMatchesForcedHash) {
+  const uint64_t seed = CaseSeed(5);
+  MPFDB_TRACE_SEED(seed);
+  Rng rng(seed * 131);
+  const size_t rows = 12000;
+  const int64_t dom = static_cast<int64_t>(rows / 4);
+  Catalog catalog;
+  for (const char* v : {"x", "y", "z", "w"}) {
+    ASSERT_TRUE(catalog.RegisterVariable(v, dom).ok());
+  }
+  ASSERT_TRUE(
+      catalog.RegisterTable(RandomTable("a", {"x", "y"}, {dom, dom}, rows, rng))
+          .ok());
+  ASSERT_TRUE(
+      catalog.RegisterTable(RandomTable("b", {"y", "z"}, {dom, dom}, rows, rng))
+          .ok());
+  ASSERT_TRUE(
+      catalog.RegisterTable(RandomTable("c", {"z", "w"}, {dom, dom}, rows, rng))
+          .ok());
+  MpfViewDef view;
+  view.name = "chain";
+  view.relations = {"a", "b", "c"};
+  const MpfQuerySpec query{{"x"}, {}};
+  SimpleCostModel cost_model;
+
+  for (const Semiring& semiring :
+       {Semiring::SumProduct(), Semiring::MaxProduct()}) {
+    view.semiring = semiring;
+    for (const std::string spec : {"cs+", "ve(width)"}) {
+      auto optimizer = MakeOptimizer(spec, seed);
+      ASSERT_TRUE(optimizer.ok());
+      auto plan = (*optimizer)->Optimize(view, query, catalog, cost_model);
+      ASSERT_TRUE(plan.ok()) << spec << ": " << plan.status();
+
+      exec::Executor golden_exec(catalog, semiring, ForcedHash());
+      auto golden = golden_exec.Execute(**plan, "golden");
+      ASSERT_TRUE(golden.ok()) << spec << ": " << golden.status();
+
+      exec::Executor auto_exec(catalog, semiring, exec::ExecOptions{});
+      for (size_t threads : {1u, 4u}) {
+        exec::ThreadPool pool(threads);
+        QueryContext ctx;
+        ctx.set_thread_pool(&pool);
+        auto result = auto_exec.Execute(**plan, "out", &ctx);
+        std::string where = std::string(semiring.name()) + "/" + spec +
+                            "/threads=" + std::to_string(threads);
+        ASSERT_TRUE(result.ok()) << where << ": " << result.status();
+        EXPECT_TRUE(fr::TablesEqual(**golden, **result, /*tolerance=*/0.0))
+            << where;
+        EXPECT_EQ(ctx.stats().bytes_in_use, 0u) << where;
+        if (threads > 1) EXPECT_GT(pool.dispatched_jobs(), 0u) << where;
+      }
+    }
+  }
+}
+
 // Hand-annotated logical chain whose estimates steer the planner into a
 // *mixed* physical plan — hash inner join, sort-merge top join, presorted
 // sort-marginalize — executed against real (small) tables. The estimates

@@ -233,9 +233,16 @@ TEST_F(TrieJoinTest, DuplicateKeysEmitFullCrossProduct) {
 }
 
 TEST_F(TrieJoinTest, MorselStreamsReproduceSerialOrder) {
+  // Inputs worth several morsels, so the triangle really splits on its
+  // outermost variable instead of running inline.
+  Rng rng(CaseSeed(18));
+  r_ = PairTable("r", "a", "b", 1500, 20000, rng);
+  s_ = PairTable("s", "b", "c", 1500, 20000, rng);
+  t_ = PairTable("t", "c", "a", 1500, 20000, rng);
   auto serial_op = MakeTriangle();
   auto serial = RunBatch(*serial_op, "serial");
   ASSERT_TRUE(serial.ok()) << serial.status();
+  EXPECT_GT((*serial)->NumRows(), 0u);
 
   ThreadPool pool(4);
   QueryContext ctx;
@@ -244,6 +251,7 @@ TEST_F(TrieJoinTest, MorselStreamsReproduceSerialOrder) {
   parallel_op->BindContext(&ctx);
   auto parallel = RunBatch(*parallel_op, "parallel", &ctx);
   ASSERT_TRUE(parallel.ok()) << parallel.status();
+  EXPECT_GT(pool.dispatched_jobs(), 0u);
   // Concatenated stream outputs must equal the serial emission bit for bit,
   // row order included.
   EXPECT_TRUE(fr::TablesEqual(**serial, **parallel, 0.0));
