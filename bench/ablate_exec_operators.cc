@@ -6,12 +6,11 @@
 // measurement here:
 //
 //  1. A hand-rolled execution-mode ablation: the hash-join + hash-marginalize
-//     pipeline (and each operator alone) driven row-at-a-time, batch-at-a-time
-//     (vectorized), and batch with packed 64-bit keys — the packed mode both
-//     on the legacy std::unordered_map build and on the Swiss tables. This
-//     quantifies the vectorized engine's speedup and backs the cost model's
-//     CPU charges, with raw hash_table/* and mph_probe/* sections isolating
-//     the table structures themselves.
+//     pipeline (and each operator alone) driven batch-at-a-time on vector
+//     keys, and on packed 64-bit keys with dense perfect-index join heads.
+//     This quantifies what key packing buys and backs the cost model's CPU
+//     charges, with raw hash_table/* and mph_probe/* sections isolating the
+//     table structures themselves (Swiss against std::unordered_map).
 //  2. A physical-planner demo: a three-relation chain where the cost-based
 //     planner mixes join algorithms within one query (hash inner join,
 //     sort-merge top join) and the sort-merge output order lets the final
@@ -102,52 +101,35 @@ void Check(const Status& status) {
   }
 }
 
-// Drains `op` to completion in the given mode without materializing its
-// output, so the measurement isolates operator throughput. Returns the
-// number of rows the operator emitted.
-size_t Drain(PhysicalOperator& op, bool batch_mode) {
+// Drains `op` to completion without materializing its output, so the
+// measurement isolates operator throughput. Returns the number of rows the
+// operator emitted.
+size_t Drain(PhysicalOperator& op) {
   Check(op.Open());
   size_t rows = 0;
-  if (batch_mode) {
-    RowBatch batch;
-    while (true) {
-      auto has = op.NextBatch(&batch);
-      Check(has.status());
-      if (!*has) break;
-      rows += batch.num_rows();
-      benchmark::DoNotOptimize(batch.measures()[0]);
-    }
-  } else {
-    Row row;
-    while (true) {
-      auto has = op.Next(&row);
-      Check(has.status());
-      if (!*has) break;
-      ++rows;
-      benchmark::DoNotOptimize(row.measure);
-    }
+  RowBatch batch;
+  while (true) {
+    auto has = op.NextBatch(&batch);
+    Check(has.status());
+    if (!*has) break;
+    rows += batch.num_rows();
+    benchmark::DoNotOptimize(batch.measures()[0]);
   }
   op.Close();
   return rows;
 }
 
+// `batch` hashes vector keys; `batch_packed_swiss` (`packed`) packs the keys
+// into 64 bits and gives the join dense perfect-index heads, and carries the
+// headline throughput.
 struct Mode {
   const char* name;
-  bool batch;
   bool packed;
-  HashImpl hash;
-  bool mph;
 };
 
-// `batch_packed` pins the legacy std::unordered_map build (and no perfect
-// indexes) so the committed baseline stays comparable across commits;
-// `batch_packed_swiss` runs the same pipeline on the Swiss tables with
-// dense perfect-index join heads and carries the headline speedup.
 constexpr Mode kModes[] = {
-    {"row", false, false, HashImpl::kSwiss, false},
-    {"batch", true, false, HashImpl::kSwiss, false},
-    {"batch_packed", true, true, HashImpl::kStd, false},
-    {"batch_packed_swiss", true, true, HashImpl::kSwiss, true},
+    {"batch", false},
+    {"batch_packed_swiss", true},
 };
 
 struct ModeResult {
@@ -164,38 +146,33 @@ ModeResult Measure(const MakeTree& make_tree, const Catalog* catalog,
                    const Mode& mode, int reps = 3, bool governed = false) {
   ModeResult best;
   for (int rep = 0; rep < reps; ++rep) {
-    OperatorPtr root =
-        make_tree(mode.packed ? catalog : nullptr, mode.hash, mode.mph);
+    OperatorPtr root = make_tree(mode.packed ? catalog : nullptr, mode.packed);
     QueryContext ctx;
     if (governed) root->BindContext(&ctx);
     auto start = bench::Clock::now();
-    size_t rows = Drain(*root, mode.batch);
+    size_t rows = Drain(*root);
     double secs = bench::MsSince(start) / 1e3;
     if (rep == 0 || secs < best.seconds) best = {secs, rows};
   }
   return best;
 }
 
-// Measures one tree shape under all four modes, prints the comparison, and
+// Measures one tree shape under every mode, prints the comparison, and
 // records input-rows/sec per mode in the json writer.
 template <typename MakeTree>
 void AblateModes(const std::string& label, int64_t input_rows,
                  const MakeTree& make_tree, const Catalog& catalog,
                  bench::BenchJsonWriter* json) {
-  double row_secs = 0;
   std::printf("%s (input %lld rows)\n", label.c_str(),
               static_cast<long long>(input_rows));
   for (const Mode& mode : kModes) {
     ModeResult r = Measure(make_tree, &catalog, mode);
     double ops = static_cast<double>(input_rows) / r.seconds;
-    if (!mode.batch) row_secs = r.seconds;
-    double speedup = row_secs / r.seconds;
-    std::printf("  %-18s %8.1f ms   %12.3e rows/s   %5.2fx  (%zu out)\n",
-                mode.name, r.seconds * 1e3, ops, speedup, r.out_rows);
+    std::printf("  %-18s %8.1f ms   %12.3e rows/s   (%zu out)\n", mode.name,
+                r.seconds * 1e3, ops, r.out_rows);
     json->Add(label + "/" + mode.name, {{"input_rows", double(input_rows)},
                                         {"seconds", r.seconds},
                                         {"ops_per_sec", ops},
-                                        {"speedup_vs_row", speedup},
                                         {"output_rows", double(r.out_rows)}});
   }
 }
@@ -215,14 +192,12 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterVariable("x", rows));
     Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
     Check(catalog.RegisterVariable("z", rows));
-    auto make_tree = [&](const Catalog* cat, HashImpl hash,
-                         bool mph) -> OperatorPtr {
+    auto make_tree = [&](const Catalog* cat, bool mph) -> OperatorPtr {
       auto join = std::make_unique<HashProductJoin>(
           std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b), semiring,
-          cat, hash, mph);
-      return std::make_unique<HashMarginalize>(std::move(join),
-                                               std::vector<std::string>{"y"},
-                                               semiring, cat, hash);
+          cat, mph);
+      return std::make_unique<HashMarginalize>(
+          std::move(join), std::vector<std::string>{"y"}, semiring, cat);
     };
     AblateModes("pipeline_join_agg", 2 * rows, make_tree, catalog, &json);
   }
@@ -235,11 +210,10 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterVariable("x", rows));
     Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
     Check(catalog.RegisterVariable("z", rows));
-    auto make_tree = [&](const Catalog* cat, HashImpl hash,
-                         bool mph) -> OperatorPtr {
+    auto make_tree = [&](const Catalog* cat, bool mph) -> OperatorPtr {
       return std::make_unique<HashProductJoin>(std::make_unique<SeqScan>(a),
                                                std::make_unique<SeqScan>(b),
-                                               semiring, cat, hash, mph);
+                                               semiring, cat, mph);
     };
     AblateModes("hash_join", 2 * rows, make_tree, catalog, &json);
   }
@@ -251,11 +225,10 @@ int RunModeAblation(const std::string& json_path,
     Catalog catalog;
     Check(catalog.RegisterVariable("g", std::max<int64_t>(4, rows / 64)));
     Check(catalog.RegisterVariable("u", rows));
-    auto make_tree = [&](const Catalog* cat, HashImpl hash,
-                         bool /*mph*/) -> OperatorPtr {
+    auto make_tree = [&](const Catalog* cat, bool /*mph*/) -> OperatorPtr {
       return std::make_unique<HashMarginalize>(std::make_unique<SeqScan>(t),
                                                std::vector<std::string>{"g"},
-                                               semiring, cat, hash);
+                                               semiring, cat);
     };
     AblateModes("hash_marginalize", rows, make_tree, catalog, &json);
   }
@@ -453,14 +426,12 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterVariable("x", rows));
     Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
     Check(catalog.RegisterVariable("z", rows));
-    auto make_tree = [&](const Catalog* cat, HashImpl hash,
-                         bool mph) -> OperatorPtr {
+    auto make_tree = [&](const Catalog* cat, bool mph) -> OperatorPtr {
       auto join = std::make_unique<HashProductJoin>(
           std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b), semiring,
-          cat, hash, mph);
-      return std::make_unique<HashMarginalize>(std::move(join),
-                                               std::vector<std::string>{"y"},
-                                               semiring, cat, hash);
+          cat, mph);
+      return std::make_unique<HashMarginalize>(
+          std::move(join), std::vector<std::string>{"y"}, semiring, cat);
     };
     std::printf("governed_overhead (input %lld rows)\n",
                 static_cast<long long>(2 * rows));
@@ -497,16 +468,14 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterVariable("x", rows));
     Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
     Check(catalog.RegisterVariable("z", rows));
-    auto make_tree = [&](const Catalog* cat, HashImpl hash,
-                         bool mph) -> OperatorPtr {
+    auto make_tree = [&](const Catalog* cat, bool mph) -> OperatorPtr {
       auto join = std::make_unique<HashProductJoin>(
           std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b), semiring,
-          cat, hash, mph);
-      return std::make_unique<HashMarginalize>(std::move(join),
-                                               std::vector<std::string>{"y"},
-                                               semiring, cat, hash);
+          cat, mph);
+      return std::make_unique<HashMarginalize>(
+          std::move(join), std::vector<std::string>{"y"}, semiring, cat);
     };
-    std::printf("pipeline_scaling (input %lld rows, batch_packed)\n",
+    std::printf("pipeline_scaling (input %lld rows, batch_packed_swiss)\n",
                 static_cast<long long>(2 * rows));
     double one_thread_secs = 0;
     TablePtr golden;
@@ -514,7 +483,7 @@ int RunModeAblation(const std::string& json_path,
       ThreadPool pool(threads);
       // Parity check for this worker count.
       {
-        OperatorPtr root = make_tree(&catalog, HashImpl::kSwiss, true);
+        OperatorPtr root = make_tree(&catalog, true);
         QueryContext ctx;
         ctx.set_thread_pool(&pool);
         root->BindContext(&ctx);
@@ -535,12 +504,12 @@ int RunModeAblation(const std::string& json_path,
       }
       ModeResult best;
       for (int rep = 0; rep < 3; ++rep) {
-        OperatorPtr root = make_tree(&catalog, HashImpl::kSwiss, true);
+        OperatorPtr root = make_tree(&catalog, true);
         QueryContext ctx;
         ctx.set_thread_pool(&pool);
         root->BindContext(&ctx);
         auto start = bench::Clock::now();
-        size_t out = Drain(*root, /*batch_mode=*/true);
+        size_t out = Drain(*root);
         double secs = bench::MsSince(start) / 1e3;
         if (rep == 0 || secs < best.seconds) best = {secs, out};
       }
@@ -715,7 +684,7 @@ int RunModeAblation(const std::string& json_path,
                             std::vector<std::string>{"g"}, semiring,
                             presorted);
         auto start = bench::Clock::now();
-        Drain(agg, /*batch_mode=*/true);
+        Drain(agg);
         double secs = bench::MsSince(start) / 1e3;
         if (rep == 0 || secs < best) best = secs;
       }
@@ -895,7 +864,6 @@ int RunModeAblation(const std::string& json_path,
         catalog, schema->view.semiring,
         exec::ExecOptions{.join = exec::JoinAlgorithm::kHash,
                           .agg = exec::AggAlgorithm::kHash,
-                          .vectorized = true,
                           .packed_keys = true});
     auto time_plan = [&](const exec::Executor& executor, const PlanNode& plan) {
       double best = 0;
@@ -1078,7 +1046,7 @@ void JoinBench(benchmark::State& state) {
   for (auto _ : state) {
     JoinOp join(std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b),
                 semiring);
-    auto result = Run(join, "out");
+    auto result = RunBatch(join, "out");
     if (!result.ok()) state.SkipWithError("join failed");
     benchmark::DoNotOptimize(result);
   }
@@ -1102,7 +1070,7 @@ void AggBench(benchmark::State& state) {
   for (auto _ : state) {
     AggOp agg(std::make_unique<SeqScan>(t), std::vector<std::string>{"g"},
               semiring);
-    auto result = Run(agg, "out");
+    auto result = RunBatch(agg, "out");
     if (!result.ok()) state.SkipWithError("agg failed");
     benchmark::DoNotOptimize(result);
   }

@@ -26,9 +26,7 @@ import sys
 # (entry name, metric, direction). direction "higher" means a drop is a
 # regression; "lower" means a rise is.
 GATED = [
-    ("pipeline_join_agg/row", "ops_per_sec", "higher"),
     ("pipeline_join_agg/batch", "ops_per_sec", "higher"),
-    ("pipeline_join_agg/batch_packed", "ops_per_sec", "higher"),
     ("pipeline_join_agg/batch_packed_swiss", "ops_per_sec", "higher"),
     ("hash_join/batch_packed_swiss", "ops_per_sec", "higher"),
     ("hash_marginalize/batch", "ops_per_sec", "higher"),
@@ -93,7 +91,7 @@ INFORMATIONAL = [
     ("serving/plan_cache", "hit_rate"),
     ("serving/concurrent_throughput", "queries_per_sec"),
     ("serving/concurrent_throughput", "plan_cache_hit_rate"),
-    ("governed_overhead/batch_packed", "overhead_frac"),
+    ("governed_overhead/batch_packed_swiss", "overhead_frac"),
     ("net_serving/open_loop", "achieved_qps"),
     ("net_serving/open_loop", "errors"),
     ("net_serving/closed_loop", "errors"),

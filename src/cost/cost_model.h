@@ -74,11 +74,10 @@ class CostModel {
 // and computing an aggregate on R costs |R| log |R|. Scans and selections
 // are charged linearly so plans with useless nodes are never free.
 //
-// Per-tuple CPU constants are implicitly calibrated against the row-at-a-time
-// engine. The vectorized engine (ExecOptions::vectorized) lowers the join and
-// aggregation constants by several x — see bench/ablate_exec_operators'
-// mode ablation — but uniformly enough that relative plan comparisons, which
-// are all the optimizers consume, are unaffected.
+// The per-tuple constants are abstract units, not calibrated CPU time: the
+// batch engine's real per-row costs differ per operator (see
+// bench/ablate_exec_operators' mode ablation), but only relative plan
+// comparisons reach the optimizers.
 class SimpleCostModel : public CostModel {
  public:
   std::string name() const override { return "simple"; }

@@ -31,23 +31,16 @@ struct ExecOptions {
   //      it makes is bit-identical to the forced-hash baseline.
   JoinAlgorithm join = JoinAlgorithm::kAuto;
   AggAlgorithm agg = AggAlgorithm::kAuto;
-  // Drive the operator tree batch-at-a-time (NextBatch) instead of one row
-  // at a time. Results are bit-identical either way.
-  bool vectorized = true;
   // Let hash join/aggregation pack composite keys into 64-bit integers when
-  // the catalog's domain statistics fit (batch path only; falls back to
-  // vector keys per operator when they don't).
+  // the catalog's domain statistics fit (falls back to vector keys per
+  // operator when they don't). Results are bit-identical either way.
   bool packed_keys = true;
-  // Hash-table implementation for the hash join/aggregation operators.
-  // kSwiss (the default) is the SIMD open-addressing table; kStd keeps the
-  // chaining tables as a differential baseline. Results are bit-identical.
-  HashImpl hash_impl = HashImpl::kSwiss;
   // Let epoch-built minimal-perfect-hash indexes back repeated-probe
   // structures (storage hash indexes, workload-cache base-row lookups) when
   // a build over the live key set succeeds. Pure lookup accelerator; results
   // are bit-identical with it off.
   bool mph_indexes = true;
-  // Worker threads for intra-query morsel parallelism (batch path only).
+  // Worker threads for intra-query morsel parallelism.
   // 0 resolves to std::thread::hardware_concurrency(); 1 reproduces the
   // serial engine exactly. The Executor itself only reads the pool off the
   // QueryContext — Database owns the pool and wires it up from this knob.
@@ -62,7 +55,8 @@ struct ExecOptions {
 };
 
 // Maps an annotated logical plan to a physical plan (per-node algorithm
-// selection) and on to a physical operator tree, then runs it. Stateless
+// selection) and on to a physical operator tree, then runs it batch-at-a-time
+// (RunBatch), morsel-parallel where the context carries a pool. Stateless
 // apart from the bound catalog and semiring, so one Executor can run many
 // plans.
 class Executor {

@@ -29,7 +29,7 @@
 // are contiguous (a lookup can stop at the first empty control byte), and
 // load factor can run to 7/8 without degenerate chains. Iteration order is
 // unspecified — every caller either sorts its output afterwards or is
-// insensitive to order, which is what keeps hash_impl swaps bit-identical.
+// insensitive to order, so results never depend on the table's layout.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,12 +43,6 @@
 #endif
 
 namespace mpfdb::exec {
-
-// Which hash-table implementation the hash operators use. kStd keeps the
-// pre-existing std::unordered_map / linear-probe PackedHashMap structures;
-// kSwiss routes every build/probe/fold through the tables in this header.
-// Both produce bit-identical results (differentially tested, tol 0.0).
-enum class HashImpl { kStd, kSwiss };
 
 // Runtime kill switch for the SSE2 probe loop (scalar fallback is always
 // compiled). Reads MPFDB_SCALAR_HASH=1 from the environment once at startup;
@@ -123,10 +117,9 @@ inline int CountTrailingZeros(uint32_t x) { return __builtin_ctz(x); }
 
 }  // namespace swiss
 
-// Swiss table from packed uint64 keys to a small payload. API-compatible
-// with PackedHashMap (FindOrInsert/Find/Reserve/ForEach/ForEachMutable)
-// so the operators can switch per ExecOptions::hash_impl, plus Erase and
-// the DIB invariant check the unit tests assert.
+// Swiss table from packed uint64 keys to a small payload: FindOrInsert,
+// Find, Reserve, ForEach and ForEachMutable, plus Erase and the DIB
+// invariant check the unit tests assert.
 template <typename V>
 class SwissTable {
  public:

@@ -4,7 +4,7 @@
 #include <array>
 #include <cstring>
 #include <deque>
-#include <unordered_map>
+#include <queue>
 
 #include "exec/spill.h"
 #include "exec/thread_pool.h"
@@ -26,10 +26,6 @@ size_t RowFootprint(size_t arity) {
   return arity * sizeof(VarValue) + sizeof(double);
 }
 
-size_t MaterializedRowFootprint(const Row& row) {
-  return sizeof(Row) + row.vars.size() * sizeof(VarValue);
-}
-
 struct KeyHash {
   size_t operator()(const std::vector<VarValue>& key) const {
     uint64_t h = 1469598103934665603ull;
@@ -44,128 +40,50 @@ struct KeyHash {
   }
 };
 
-// Runtime-dispatch wrappers selecting between the legacy tables and the
-// Swiss tables per ExecOptions::hash_impl. One instance is constructed per
-// operator open, so the `swiss_` test is a single predictable branch in
-// front of a 10-30 cycle probe — cheap enough that the big drain loops stay
-// un-templated. APIs mirror PackedHashMap.
-template <typename V>
-class PackedMap {
- public:
-  explicit PackedMap(HashImpl impl = HashImpl::kSwiss, size_t expected = 64) {
-    if (impl == HashImpl::kSwiss) {
-      swiss_.emplace(expected);
-    } else {
-      probe_.emplace(expected);
-    }
-  }
-  std::pair<V*, bool> FindOrInsert(uint64_t key, const V& init) {
-    if (swiss_) return swiss_->FindOrInsert(key, init);
-    return probe_->FindOrInsert(key, init);
-  }
-  V* Find(uint64_t key) {
-    if (swiss_) return swiss_->Find(key);
-    return probe_->Find(key);
-  }
-  size_t size() const { return swiss_ ? swiss_->size() : probe_->size(); }
-  void Reserve(size_t expected) {
-    if (swiss_) {
-      swiss_->Reserve(expected);
-    } else {
-      probe_->Reserve(expected);
-    }
-  }
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    if (swiss_) {
-      swiss_->ForEach(fn);
-    } else {
-      probe_->ForEach(fn);
-    }
-  }
-  template <typename Fn>
-  void ForEachMutable(Fn&& fn) {
-    if (swiss_) {
-      swiss_->ForEachMutable(fn);
-    } else {
-      probe_->ForEachMutable(fn);
-    }
-  }
-
- private:
-  std::optional<SwissTable<V>> swiss_;
-  std::optional<PackedHashMap<V>> probe_;
-};
-
-// Same dispatch for std::vector<VarValue> keys: the Swiss variant hashes and
-// interns the raw key bytes (no per-row vector allocation, memcmp compare),
-// the legacy variant keeps the node-based std::unordered_map. ForEach hands
-// the key back as a vector either way; the Swiss path decodes into one
-// scratch vector reused across entries.
+// std::vector<VarValue> keys over the byte-keyed Swiss table: probes hash
+// and intern the raw key bytes (no per-row vector allocation, memcmp
+// compare). ForEach hands each key back as a vector decoded into one scratch
+// vector reused across entries.
 template <typename V>
 class VecKeyMap {
  public:
-  explicit VecKeyMap(HashImpl impl = HashImpl::kSwiss, size_t expected = 16) {
-    if (impl == HashImpl::kSwiss) {
-      swiss_.emplace(expected);
-    } else {
-      std_.emplace();
-    }
-  }
   std::pair<V*, bool> FindOrInsert(const std::vector<VarValue>& key,
                                    const V& init) {
-    if (swiss_) {
-      return swiss_->FindOrInsert(key.data(), key.size() * sizeof(VarValue),
-                                  init);
-    }
-    auto [it, inserted] = std_->try_emplace(key, init);
-    return {&it->second, inserted};
+    return table_.FindOrInsert(key.data(), key.size() * sizeof(VarValue),
+                               init);
   }
   V* Find(const std::vector<VarValue>& key) {
-    if (swiss_) {
-      return swiss_->Find(key.data(), key.size() * sizeof(VarValue));
-    }
-    auto it = std_->find(key);
-    return it == std_->end() ? nullptr : &it->second;
+    return table_.Find(key.data(), key.size() * sizeof(VarValue));
   }
-  size_t size() const { return swiss_ ? swiss_->size() : std_->size(); }
-  void clear() {
-    if (swiss_) {
-      *swiss_ = SwissBytesTable<V>();
-    } else {
-      std_->clear();
-    }
-  }
+  size_t size() const { return table_.size(); }
+  void clear() { table_ = SwissBytesTable<V>(); }
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    if (swiss_) {
-      std::vector<VarValue> key;
-      swiss_->ForEach([&](const char* bytes, size_t len, const V& val) {
-        key.resize(len / sizeof(VarValue));
-        std::memcpy(key.data(), bytes, len);
-        fn(key, val);
-      });
-    } else {
-      for (const auto& [key, val] : *std_) fn(key, val);
-    }
+    std::vector<VarValue> key;
+    table_.ForEach([&](const char* bytes, size_t len, const V& val) {
+      Decode(bytes, len, &key);
+      fn(key, val);
+    });
   }
   template <typename Fn>
   void ForEachMutable(Fn&& fn) {
-    if (swiss_) {
-      std::vector<VarValue> key;
-      swiss_->ForEachMutable([&](const char* bytes, size_t len, V& val) {
-        key.resize(len / sizeof(VarValue));
-        std::memcpy(key.data(), bytes, len);
-        fn(key, val);
-      });
-    } else {
-      for (auto& [key, val] : *std_) fn(key, val);
-    }
+    std::vector<VarValue> key;
+    table_.ForEachMutable([&](const char* bytes, size_t len, V& val) {
+      Decode(bytes, len, &key);
+      fn(key, val);
+    });
   }
 
  private:
-  std::optional<SwissBytesTable<V>> swiss_;
-  std::optional<std::unordered_map<std::vector<VarValue>, V, KeyHash>> std_;
+  static void Decode(const char* bytes, size_t len,
+                     std::vector<VarValue>* key) {
+    key->resize(len / sizeof(VarValue));
+    // A zero-arity key has no storage, and memcpy on a null pointer is
+    // undefined even for zero bytes.
+    if (len > 0) std::memcpy(key->data(), bytes, len);
+  }
+
+  SwissBytesTable<V> table_;
 };
 
 std::vector<size_t> IndicesOf(const Schema& schema,
@@ -206,44 +124,11 @@ JoinLayout MakeJoinLayout(const Schema& left, const Schema& right) {
   return layout;
 }
 
-// Drains `child` into `out`, charging every materialized row against
-// `memory` (a guard bound to a null context charges nothing). `who` names
-// the draining operator for budget errors and error-context annotation.
-Status DrainChild(PhysicalOperator& child, std::vector<Row>* out,
-                  MemoryGuard* memory, const char* who) {
-  Row row;
-  while (true) {
-    auto has = child.Next(&row);
-    if (!has.ok()) return Annotate(has.status(), who);
-    if (!*has) break;
-    MPFDB_RETURN_IF_ERROR(memory->Charge(MaterializedRowFootprint(row), who));
-    out->push_back(row);
-  }
-  return Status::Ok();
-}
-
-// Drains `child` into a flat row-major arena, avoiding the per-tuple vector
-// allocation that materializing std::vector<Row> incurs.
-Status DrainToArena(PhysicalOperator& child, std::vector<VarValue>* vars,
-                    std::vector<double>* measures, MemoryGuard* memory,
-                    const char* who) {
-  Row row;
-  while (true) {
-    auto has = child.Next(&row);
-    if (!has.ok()) return Annotate(has.status(), who);
-    if (!*has) break;
-    MPFDB_RETURN_IF_ERROR(memory->Charge(RowFootprint(row.vars.size()), who));
-    vars->insert(vars->end(), row.vars.begin(), row.vars.end());
-    measures->push_back(row.measure);
-  }
-  return Status::Ok();
-}
-
-// Drains `child` through NextBatch into a flat row-major arena — the
-// vectorized counterpart of DrainToArena, used by the sort operators' native
-// batch paths so a sort node doesn't force its subtree back to row-at-a-time
-// pulls. Row order is the child's batch emission order, which equals its row
-// emission order by the NextBatch contract.
+// Drains `child` through NextBatch into a flat row-major arena, charging
+// every row against `memory` (a guard bound to a null context charges
+// nothing) before it is stored. `who` names the draining operator for budget
+// errors and error-context annotation. Row order is the child's emission
+// order.
 Status DrainToArenaBatches(PhysicalOperator& child, std::vector<VarValue>* vars,
                            std::vector<double>* measures, MemoryGuard* memory,
                            const char* who) {
@@ -277,6 +162,20 @@ size_t SpillPartOf(size_t hash) {
   return (hash >> 60) & (kSpillPartitions - 1);
 }
 
+// A 64-bit ordinal carried in a spill record as two trailing VarValues (high
+// word first), for runs that must be merged back into arrival order.
+constexpr size_t kOrdinalVars = 2;
+
+void StoreOrdinal(uint64_t ordinal, VarValue* dst) {
+  dst[0] = static_cast<VarValue>(static_cast<uint32_t>(ordinal >> 32));
+  dst[1] = static_cast<VarValue>(static_cast<uint32_t>(ordinal));
+}
+
+uint64_t LoadOrdinal(const VarValue* src) {
+  return (uint64_t{static_cast<uint32_t>(src[0])} << 32) |
+         static_cast<uint32_t>(src[1]);
+}
+
 // Creates one spill run per partition, each holding records of `arity`
 // VarValues plus a measure.
 StatusOr<std::vector<std::unique_ptr<SpillFile>>> MakeSpillPartitions(
@@ -295,7 +194,6 @@ StatusOr<std::vector<std::unique_ptr<SpillFile>>> MakeSpillPartitions(
 // in-memory table would have applied them — results stay bit-identical.
 Status DrainAggSpill(std::vector<std::unique_ptr<SpillFile>>& parts,
                      const Semiring& semiring, size_t nkeys, QueryContext* ctx,
-                     HashImpl hash_impl,
                      std::vector<std::pair<std::vector<VarValue>, double>>* entries) {
   std::vector<VarValue> key(nkeys);
   double measure = 0;
@@ -306,7 +204,7 @@ Status DrainAggSpill(std::vector<std::unique_ptr<SpillFile>>& parts,
     // transient footprint is tracked but not failed (a single partition is
     // the smallest unit this strategy can degrade to).
     MemoryGuard part_memory(ctx);
-    VecKeyMap<double> table(hash_impl);
+    VecKeyMap<double> table;
     while (true) {
       MPFDB_ASSIGN_OR_RETURN(bool has, part->Next(key.data(), &measure));
       if (!has) break;
@@ -352,7 +250,7 @@ Status PackedDomainViolation(const char* op) {
 // The shape of the semiring's Multiply, resolved once per pipeline so the
 // batch emit loops can inline the arithmetic. The fast paths perform exactly
 // the IEEE operation Semiring::Multiply performs, so results stay
-// bit-identical to the row-at-a-time engine.
+// bit-identical to the generic per-row call.
 enum class MulOp { kTimes, kPlus, kGeneric };
 
 MulOp MulOpFor(const Semiring& semiring) {
@@ -423,7 +321,7 @@ std::vector<std::pair<size_t, size_t>> SplitRanges(size_t total, size_t n) {
 }
 
 // Key-hash partitions for parallel aggregation. Uses bits 56..59 so the
-// choice is independent of both the low bits PackedHashMap masks on and the
+// choice is independent of both the low bits the Swiss tables mask on and the
 // top-4 bits SpillPartOf uses — a spill triggered mid-parallel run must not
 // see all of a partition's keys collide into one spill file.
 constexpr size_t kAggPartitions = 16;
@@ -466,9 +364,6 @@ class SeqScanRangeStream : public PhysicalOperator {
     next_row_ = begin_;
     return Status::Ok();
   }
-  StatusOr<bool> Next(Row*) override {
-    return Status::Internal("morsel streams are batch-only");
-  }
   StatusOr<bool> NextBatch(RowBatch* batch) override {
     batch->Prepare(table_->schema().arity());
     if (next_row_ >= end_) return false;
@@ -503,9 +398,6 @@ class DiskScanRangeStream : public PhysicalOperator {
   Status Open() override {
     next_row_ = begin_;
     return Status::Ok();
-  }
-  StatusOr<bool> Next(Row*) override {
-    return Status::Internal("morsel streams are batch-only");
   }
   StatusOr<bool> NextBatch(RowBatch* batch) override {
     const size_t arity = schema_.arity();
@@ -561,9 +453,6 @@ class MaterializedRangeStream : public PhysicalOperator {
     next_row_ = begin_;
     return Status::Ok();
   }
-  StatusOr<bool> Next(Row*) override {
-    return Status::Internal("morsel streams are batch-only");
-  }
   StatusOr<bool> NextBatch(RowBatch* batch) override {
     const size_t arity = schema_.arity();
     batch->Prepare(arity);
@@ -608,59 +497,6 @@ StatusOr<std::vector<OperatorPtr>> WrapChildStreams(PhysicalOperator& child,
 }
 
 }  // namespace
-
-StatusOr<bool> PhysicalOperator::NextBatch(RowBatch* batch) {
-  // Adapter: any operator without a native batch implementation is driven
-  // one row at a time into the caller's batch. An error from Next surfaces
-  // with this operator's name attached so batch-mode failures are
-  // attributable even through the adapter; a partially filled batch is
-  // discarded, never returned as if it were a clean result.
-  batch->Prepare(output_schema().arity());
-  Row row;
-  while (!batch->full()) {
-    auto has = Next(&row);
-    if (!has.ok()) return Annotate(has.status(), name());
-    if (!*has) break;
-    batch->AppendRow(row.vars.data(), row.measure);
-  }
-  return !batch->empty();
-}
-
-StatusOr<TablePtr> Run(PhysicalOperator& op, const std::string& result_name,
-                       QueryContext* ctx) {
-  Status opened = op.Open();
-  if (!opened.ok()) {
-    // Blocking operators may have drained (and charged for) part of their
-    // input before failing; Close releases it.
-    op.Close();
-    return opened;
-  }
-  auto table = std::make_shared<Table>(result_name, op.output_schema());
-  // One scratch row reused across the whole drain, so the steady state does
-  // not allocate per tuple.
-  Row row;
-  row.vars.reserve(op.output_schema().arity());
-  while (true) {
-    auto has = op.Next(&row);
-    if (!has.ok()) {
-      // Tear the tree down before surfacing the error so blocking operators
-      // drop their build state and spill files immediately.
-      op.Close();
-      return has.status();
-    }
-    if (!*has) break;
-    if (ctx != nullptr) {
-      Status live = ctx->Poll(1);
-      if (!live.ok()) {
-        op.Close();
-        return live;
-      }
-    }
-    table->AppendRowRaw(row.vars.data(), row.measure);
-  }
-  op.Close();
-  return table;
-}
 
 namespace {
 
@@ -788,15 +624,6 @@ Status SeqScan::Open() {
   return Status::Ok();
 }
 
-StatusOr<bool> SeqScan::Next(Row* row) {
-  MPFDB_RETURN_IF_ERROR(PollContext());
-  if (next_row_ >= table_->NumRows()) return false;
-  RowView view = table_->Row(next_row_++);
-  row->vars.assign(view.vars, view.vars + view.arity);
-  row->measure = view.measure;
-  return true;
-}
-
 StatusOr<bool> SeqScan::NextBatch(RowBatch* batch) {
   batch->Prepare(table_->schema().arity());
   const size_t total = table_->NumRows();
@@ -822,13 +649,6 @@ StatusOr<std::vector<OperatorPtr>> SeqScan::MakeMorselStreams(size_t n) {
 }
 
 // --- DiskScan ----------------------------------------------------------------
-
-StatusOr<bool> DiskScan::Next(Row* row) {
-  MPFDB_RETURN_IF_ERROR(PollContext());
-  if (next_row_ >= table_->NumRows()) return false;
-  MPFDB_RETURN_IF_ERROR(table_->ReadRow(next_row_++, &row->vars, &row->measure));
-  return true;
-}
 
 StatusOr<bool> DiskScan::NextBatch(RowBatch* batch) {
   const size_t arity = schema_.arity();
@@ -880,12 +700,15 @@ Status IndexScan::Open() {
   return Status::Ok();
 }
 
-StatusOr<bool> IndexScan::Next(Row* row) {
-  MPFDB_RETURN_IF_ERROR(PollContext());
+StatusOr<bool> IndexScan::NextBatch(RowBatch* batch) {
+  batch->Prepare(table_->schema().arity());
   if (matches_ == nullptr || cursor_ >= matches_->size()) return false;
-  RowView view = table_->Row((*matches_)[cursor_++]);
-  row->vars.assign(view.vars, view.vars + view.arity);
-  row->measure = view.measure;
+  const size_t n = std::min(kBatchSize, matches_->size() - cursor_);
+  MPFDB_RETURN_IF_ERROR(PollContext(n));
+  for (size_t i = 0; i < n; ++i) {
+    RowView view = table_->Row((*matches_)[cursor_++]);
+    batch->AppendRow(view.vars, view.measure);
+  }
   return true;
 }
 
@@ -902,14 +725,6 @@ Status Filter::Open() {
   }
   var_index_ = *idx;
   return child_->Open();
-}
-
-StatusOr<bool> Filter::Next(Row* row) {
-  while (true) {
-    MPFDB_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-    if (!has) return false;
-    if (row->vars[var_index_] == value_) return true;
-  }
 }
 
 StatusOr<bool> Filter::NextBatch(RowBatch* batch) {
@@ -940,14 +755,6 @@ StatusOr<std::vector<OperatorPtr>> Filter::MakeMorselStreams(size_t n) {
 }
 
 // --- MeasureFilter -----------------------------------------------------------
-
-StatusOr<bool> MeasureFilter::Next(Row* row) {
-  while (true) {
-    MPFDB_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-    if (!has) return false;
-    if (EvalCompare(having_.op, row->measure, having_.threshold)) return true;
-  }
-}
 
 StatusOr<bool> MeasureFilter::NextBatch(RowBatch* batch) {
   while (true) {
@@ -994,17 +801,6 @@ Status StreamProject::Open() {
   return child_->Open();
 }
 
-StatusOr<bool> StreamProject::Next(Row* row) {
-  MPFDB_ASSIGN_OR_RETURN(bool has, child_->Next(&scratch_));
-  if (!has) return false;
-  row->vars.resize(keep_indices_.size());
-  for (size_t k = 0; k < keep_indices_.size(); ++k) {
-    row->vars[k] = scratch_.vars[keep_indices_[k]];
-  }
-  row->measure = scratch_.measure;
-  return true;
-}
-
 StatusOr<bool> StreamProject::NextBatch(RowBatch* batch) {
   MPFDB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&child_batch_));
   if (!has) return false;
@@ -1032,13 +828,11 @@ StatusOr<std::vector<OperatorPtr>> StreamProject::MakeMorselStreams(size_t n) {
 
 HashMarginalize::HashMarginalize(OperatorPtr child,
                                  std::vector<std::string> group_vars,
-                                 Semiring semiring, const Catalog* catalog,
-                                 HashImpl hash_impl)
+                                 Semiring semiring, const Catalog* catalog)
     : child_(std::move(child)),
       group_vars_(std::move(group_vars)),
       semiring_(semiring),
       catalog_(catalog),
-      hash_impl_(hash_impl),
       schema_(group_vars_, child_->output_schema().measure_name()) {}
 
 Status HashMarginalize::Open() {
@@ -1050,76 +844,12 @@ Status HashMarginalize::Open() {
   }
   key_indices_ = IndicesOf(child_->output_schema(), group_vars_);
   drained_ = false;
-  groups_.clear();
   out_vars_.clear();
   out_measures_.clear();
   next_group_ = 0;
   memory_.Bind(ctx_);
   memory_.set_stats(stats_);
   return child_->Open();
-}
-
-Status HashMarginalize::DrainRows() {
-  const size_t nkeys = key_indices_.size();
-  const size_t entry_bytes = kHashEntryOverhead + RowFootprint(nkeys);
-  VecKeyMap<double> table(hash_impl_);
-  MemoryGuard table_memory(ctx_);
-  std::vector<std::unique_ptr<SpillFile>> parts;
-  Row row;
-  std::vector<VarValue> key(nkeys);
-  while (true) {
-    auto has = child_->Next(&row);
-    if (!has.ok()) return Annotate(has.status(), "HashMarginalize: input");
-    if (!*has) break;
-    for (size_t k = 0; k < nkeys; ++k) key[k] = row.vars[key_indices_[k]];
-    if (!parts.empty()) {
-      MPFDB_RETURN_IF_ERROR(
-          parts[SpillPartOf(KeyHash()(key))]->Append(key.data(), row.measure));
-      continue;
-    }
-    auto [slot, inserted] = table.FindOrInsert(key, row.measure);
-    if (!inserted) {
-      *slot = semiring_.Add(*slot, row.measure);
-      continue;
-    }
-    Status charge = table_memory.Charge(entry_bytes, "HashMarginalize");
-    if (charge.ok()) continue;
-    if (ctx_ == nullptr || !ctx_->spill_enabled()) return charge;
-    // Budget hit: flush every key's partial aggregate (one record per key),
-    // then route the remaining input straight to the partitions.
-    MPFDB_ASSIGN_OR_RETURN(parts, MakeSpillPartitions(ctx_, nkeys));
-    if (stats_ != nullptr) stats_->spill_partitions = parts.size();
-    Status flush = Status::Ok();
-    table.ForEach([&](const std::vector<VarValue>& k, const double& m) {
-      if (!flush.ok()) return;
-      flush = parts[SpillPartOf(KeyHash()(k))]->Append(k.data(), m);
-    });
-    MPFDB_RETURN_IF_ERROR(flush);
-    table.clear();
-    table_memory.ReleaseAll();
-  }
-
-  std::vector<std::pair<std::vector<VarValue>, double>> entries;
-  if (!parts.empty()) {
-    MPFDB_RETURN_IF_ERROR(
-        DrainAggSpill(parts, semiring_, nkeys, ctx_, hash_impl_, &entries));
-  } else {
-    entries.reserve(table.size());
-    table.ForEach([&](const std::vector<VarValue>& k, const double& m) {
-      entries.emplace_back(k, m);
-    });
-  }
-  // Deterministic output order.
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  // The sorted groups are the operator's minimal output; their footprint is
-  // recorded but not failed (no representation can be smaller).
-  memory_.ChargeUnchecked(entries.size() * (sizeof(Row) + nkeys * sizeof(VarValue)));
-  groups_.reserve(entries.size());
-  for (auto& [k, m] : entries) {
-    groups_.push_back(Row{std::move(k), m});
-  }
-  return Status::Ok();
 }
 
 Status HashMarginalize::DrainBatches() {
@@ -1166,7 +896,7 @@ Status HashMarginalize::DrainBatches() {
   };
 
   if (codec) {
-    PackedMap<double> agg(hash_impl_, 1024);
+    SwissTable<double> agg(1024);
     std::vector<uint64_t> keys(kBatchSize);
     size_t charged_entries = 0;
     while (true) {
@@ -1185,8 +915,8 @@ Status HashMarginalize::DrainBatches() {
       }
       // The accumulate loop is specialized on the semiring's Add; each fast
       // path performs exactly the operation Semiring::Add performs, keeping
-      // results bit-identical to the row path (and to the parallel drain,
-      // which folds through the same dispatch).
+      // results bit-identical to the vector-key fold (and to the parallel
+      // drain, which folds through the same dispatch).
       DispatchAdd(semiring_, [&](auto add) {
         for (size_t r = 0; r < n; ++r) {
           auto [slot, inserted] = agg.FindOrInsert(keys[r], measures[r]);
@@ -1215,7 +945,7 @@ Status HashMarginalize::DrainBatches() {
               decoded.data(), measure);
         });
         MPFDB_RETURN_IF_ERROR(flush);
-        agg = PackedMap<double>(hash_impl_, 1024);
+        agg = SwissTable<double>(1024);
         charged_entries = 0;
         table_memory.ReleaseAll();
       }
@@ -1223,8 +953,8 @@ Status HashMarginalize::DrainBatches() {
     if (parts.empty()) {
       if (codec_is_lexicographic) {
         // Packed keys sort exactly as their decoded tuples (MSB-first
-        // layout), so integer-sorting reproduces the row path's
-        // lexicographic order.
+        // layout), so integer-sorting reproduces the lexicographic order of
+        // the vector-key drain.
         std::vector<std::pair<uint64_t, double>> entries;
         entries.reserve(agg.size());
         agg.ForEach([&](uint64_t key, const double& measure) {
@@ -1241,8 +971,8 @@ Status HashMarginalize::DrainBatches() {
         }
       } else {
         // Catalog-free 32-bit packing: flipping each lane's sign bit makes
-        // unsigned integer order match the row path's signed lexicographic
-        // order, so the sort runs on raw uint64s (no per-entry decode, no
+        // unsigned integer order match signed lexicographic order, so the
+        // sort runs on raw uint64s (no per-entry decode, no
         // tuple materialization).
         const uint64_t flip = codec->SignFlipMask();
         std::vector<std::pair<uint64_t, double>> entries;
@@ -1267,11 +997,11 @@ Status HashMarginalize::DrainBatches() {
     }
   } else {
     const size_t entry_bytes = kHashEntryOverhead + RowFootprint(nkeys);
-    // The fold runs on the byte-keyed Swiss table by default: probing hashes
-    // the key bytes in place (no per-row vector materialization in the map,
+    // The fold runs on the byte-keyed Swiss table: probing hashes the key
+    // bytes in place (no per-row vector materialization in the map,
     // no node allocation, no modulo), which is what closed the historical
     // hash_marginalize/batch gap against the packed path.
-    VecKeyMap<double> table(hash_impl_);
+    VecKeyMap<double> table;
     while (true) {
       auto has = child_->NextBatch(&batch);
       if (!has.ok()) return Annotate(has.status(), "HashMarginalize: input");
@@ -1336,8 +1066,7 @@ Status HashMarginalize::DrainBatches() {
   // per-key Add replay order matches the in-memory path, so the result is
   // bit-identical to an unconstrained run.
   std::vector<std::pair<std::vector<VarValue>, double>> entries;
-  MPFDB_RETURN_IF_ERROR(
-      DrainAggSpill(parts, semiring_, nkeys, ctx_, hash_impl_, &entries));
+  MPFDB_RETURN_IF_ERROR(DrainAggSpill(parts, semiring_, nkeys, ctx_, &entries));
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   out_vars_.resize(entries.size() * nkeys);
@@ -1436,7 +1165,7 @@ StatusOr<bool> HashMarginalize::TryDrainBatchesParallel() {
     std::array<std::vector<std::pair<uint64_t, double>>, kAggPartitions>
         part_entries;
     Status phase2 = pool->ParallelFor(kAggPartitions, [&](size_t p) -> Status {
-      PackedMap<double> agg(hash_impl_, 1024);
+      SwissTable<double> agg(1024);
       size_t charged_entries = 0;
       Status fold = Status::Ok();
       DispatchAdd(semiring_, [&](auto add) {
@@ -1535,7 +1264,7 @@ StatusOr<bool> HashMarginalize::TryDrainBatchesParallel() {
                kAggPartitions>
         part_entries;
     Status phase2 = pool->ParallelFor(kAggPartitions, [&](size_t p) -> Status {
-      VecKeyMap<double> table(hash_impl_);
+      VecKeyMap<double> table;
       std::vector<VarValue> key_vals(nkeys);
       for (size_t i = 0; i < num_morsels; ++i) {
         const Buf& buf = bufs[i][p];
@@ -1606,19 +1335,6 @@ StatusOr<std::vector<OperatorPtr>> HashMarginalize::MakeMorselStreams(
   return streams;
 }
 
-StatusOr<bool> HashMarginalize::Next(Row* row) {
-  if (!drained_) {
-    Status drained = DrainRows();
-    child_->Close();
-    MPFDB_RETURN_IF_ERROR(drained);
-    drained_ = true;
-  }
-  MPFDB_RETURN_IF_ERROR(PollContext());
-  if (next_group_ >= groups_.size()) return false;
-  *row = groups_[next_group_++];
-  return true;
-}
-
 StatusOr<bool> HashMarginalize::NextBatch(RowBatch* batch) {
   if (!drained_) {
     Status drained = DrainBatches();
@@ -1646,7 +1362,6 @@ StatusOr<bool> HashMarginalize::NextBatch(RowBatch* batch) {
 }
 
 void HashMarginalize::Close() {
-  groups_.clear();
   out_vars_.clear();
   out_measures_.clear();
   memory_.ReleaseAll();
@@ -1674,42 +1389,20 @@ Status SortMarginalize::Open() {
   memory_.Bind(ctx_);
   memory_.set_stats(stats_);
   drained_ = false;
-  cursor_ = 0;
   next_group_ = 0;
-  // The input is drained on the first pull (Next or NextBatch), not here, so
-  // the sort's materialization is charged where the drive loop can observe a
-  // budget breach and the batch path can drain the child vectorized.
+  // The input is drained on the first pull, not here, so the sort's
+  // materialization is charged where the drive loop can observe a budget
+  // breach.
   return child_->Open();
 }
 
-// Row-mode drain: materialize, then stable-sort on the group key. Stability
-// keeps equal-key rows in child arrival order, which makes the per-run folds
-// in Next bit-identical to HashMarginalize's arrival-order folds. When the
-// physical planner proved the input already arrives sorted by the group
-// variables the sort is skipped (a stable sort of sorted input is the
-// identity permutation).
-Status SortMarginalize::DrainRows() {
-  sorted_input_.clear();
-  MPFDB_RETURN_IF_ERROR(
-      DrainChild(*child_, &sorted_input_, &memory_, "SortMarginalize: input"));
-  if (!input_presorted_) {
-    std::stable_sort(sorted_input_.begin(), sorted_input_.end(),
-                     [this](const Row& a, const Row& b) {
-                       for (size_t k : key_indices_) {
-                         if (a.vars[k] != b.vars[k]) return a.vars[k] < b.vars[k];
-                       }
-                       return false;
-                     });
-  }
-  cursor_ = 0;
-  return Status::Ok();
-}
-
-// Batch-mode drain: pull the child through NextBatch into a row-major arena,
-// stable-sort row indices on the group key, and fold each run into the
-// output layout HashMarginalize uses. The index sort applies the same
-// comparator and stability as the row path's sort of Row objects, so both
-// paths visit rows in the same order and produce identical bits.
+// Drain: pull the child through NextBatch into a row-major arena, stable-sort
+// row indices on the group key, and fold each run into the output layout
+// HashMarginalize uses. Stability keeps equal-key rows in child arrival
+// order, which makes the per-run folds bit-identical to HashMarginalize's
+// arrival-order folds. When the physical planner proved the input already
+// arrives sorted by the group variables the sort is skipped (a stable sort
+// of sorted input is the identity permutation).
 Status SortMarginalize::DrainBatches() {
   const size_t in_arity = child_->output_schema().arity();
   const size_t nkeys = key_indices_.size();
@@ -1764,39 +1457,6 @@ Status SortMarginalize::DrainBatches() {
                           out_measures_.size() * sizeof(double));
   next_group_ = 0;
   return Status::Ok();
-}
-
-StatusOr<bool> SortMarginalize::Next(Row* row) {
-  if (!drained_) {
-    Status drained = DrainRows();
-    child_->Close();
-    MPFDB_RETURN_IF_ERROR(drained);
-    drained_ = true;
-  }
-  MPFDB_RETURN_IF_ERROR(PollContext());
-  if (cursor_ >= sorted_input_.size()) return false;
-  // Aggregate the current key run.
-  const Row& first = sorted_input_[cursor_];
-  row->vars.resize(key_indices_.size());
-  for (size_t k = 0; k < key_indices_.size(); ++k) {
-    row->vars[k] = first.vars[key_indices_[k]];
-  }
-  row->measure = first.measure;
-  ++cursor_;
-  while (cursor_ < sorted_input_.size()) {
-    const Row& next = sorted_input_[cursor_];
-    bool same = true;
-    for (size_t k = 0; k < key_indices_.size(); ++k) {
-      if (next.vars[key_indices_[k]] != row->vars[k]) {
-        same = false;
-        break;
-      }
-    }
-    if (!same) break;
-    row->measure = semiring_.Add(row->measure, next.measure);
-    ++cursor_;
-  }
-  return true;
 }
 
 StatusOr<bool> SortMarginalize::NextBatch(RowBatch* batch) {
@@ -1895,7 +1555,6 @@ StatusOr<bool> SortMarginalize::NextBatch(RowBatch* batch) {
 }
 
 void SortMarginalize::Close() {
-  sorted_input_.clear();
   out_vars_.clear();
   out_measures_.clear();
   drained_ = false;
@@ -1930,9 +1589,9 @@ struct ProbeCursor {
 // Emits (a slice of) the current left row's contiguous match run: constant
 // fills for left-side outputs, contiguous column copies for right-side
 // outputs, one vectorizable multiply for the measures. Shared between the
-// serial in-memory probe loop, the spill-partition probe loop, and the
-// parallel probe streams. ImplT is HashProductJoin::Impl, deduced because
-// the type is private; only build-side state is read through it.
+// serial in-memory probe loop and the parallel probe streams. ImplT is
+// HashProductJoin::Impl, deduced because the type is private; only
+// build-side state is read through it.
 template <class ImplT>
 void EmitJoinRunSlice(ImplT& st, ProbeCursor& pc, const Semiring& semiring,
                       RowBatch* out) {
@@ -2059,9 +1718,6 @@ class HashJoinProbeStream : public PhysicalOperator {
     left_->BindContext(ctx);
   }
   Status Open() override { return left_->Open(); }
-  StatusOr<bool> Next(Row*) override {
-    return Status::Internal("morsel streams are batch-only");
-  }
   StatusOr<bool> NextBatch(RowBatch* out) override {
     return JoinProbeNextBatch(st_, probe_, *left_, semiring_, ctx_, out);
   }
@@ -2080,30 +1736,22 @@ class HashJoinProbeStream : public PhysicalOperator {
 
 struct HashProductJoin::Impl {
   JoinLayout layout;
-  HashImpl hash_impl = HashImpl::kSwiss;
   bool built = false;
   bool left_open = false;
   bool right_open = false;
 
-  // Row mode (legacy): per-key vectors of materialized right rows.
-  VecKeyMap<std::vector<Row>> build;
-  Row left_row;
-  const std::vector<Row>* matches = nullptr;
-  size_t match_index = 0;
-  std::vector<VarValue> probe_key;
-
-  // Batch mode. The build side is drained into a row-major arena chained per
-  // key in insertion order, then compacted into a column-major arena where
-  // every key's matches are contiguous: the head maps then hold
-  // (start, count) ranges, so probe emission is constant fills, contiguous
-  // column copies, and one vectorizable multiply over the measure run.
+  // The build side is drained into a staging copy chained per key in
+  // insertion order, then compacted into a column-major arena where every
+  // key's matches are contiguous: the head maps then hold (start, count)
+  // ranges, so probe emission is constant fills, contiguous column copies,
+  // and one vectorizable multiply over the measure run.
   std::optional<PackedKeyCodec> codec;
   MulOp mul_op = MulOp::kGeneric;
   size_t right_arity = 0;
   size_t arena_rows = 0;
   std::vector<VarValue> arena_cols;     // column-major, stride arena_rows
   std::vector<double> arena_measures;   // aligned with arena_cols rows
-  PackedMap<std::pair<uint32_t, uint32_t>> packed_heads;
+  SwissTable<std::pair<uint32_t, uint32_t>> packed_heads{16};
   VecKeyMap<std::pair<uint32_t, uint32_t>> vec_heads;
   // Perfect-index head "map": when the packed-key universe is small enough
   // (catalog domains are fixed per epoch), (start, count) ranges live in a
@@ -2120,29 +1768,38 @@ struct HashProductJoin::Impl {
 
   // Resource governance. `memory` covers the in-memory build state; when the
   // budget is hit both sides are partitioned to disk (Grace-style) and the
-  // partitions are joined pairwise, one resident partition at a time
-  // (`part_memory`).
+  // partitions are joined pairwise, one resident build partition at a time
+  // (`part_memory`). Probe records carry their arrival ordinal in two extra
+  // trailing VarValues; each partition's output goes to its own run with
+  // the ordinal appended the same way, and emission merges the runs on it.
   MemoryGuard memory;
   MemoryGuard part_memory;
   bool spilling = false;
+  bool spill_joined = false;
   std::vector<std::unique_ptr<SpillFile>> right_parts;
   std::vector<std::unique_ptr<SpillFile>> left_parts;
-  size_t cur_part = 0;
-  bool part_loaded = false;
+  std::vector<std::unique_ptr<SpillFile>> out_parts;
   size_t left_arity = 0;
   std::vector<VarValue> spill_row;
+  // Merge state: the head record of every output run, and a min-heap of
+  // (ordinal, run) over the runs that still have one.
+  std::vector<std::vector<VarValue>> out_heads;
+  std::vector<double> out_head_measures;
+  std::priority_queue<std::pair<uint64_t, size_t>,
+                      std::vector<std::pair<uint64_t, size_t>>,
+                      std::greater<>>
+      merge_heap;
 };
 
 HashProductJoin::~HashProductJoin() = default;
 
 HashProductJoin::HashProductJoin(OperatorPtr left, OperatorPtr right,
                                  Semiring semiring, const Catalog* catalog,
-                                 HashImpl hash_impl, bool mph_indexes)
+                                 bool mph_indexes)
     : left_(std::move(left)),
       right_(std::move(right)),
       semiring_(semiring),
       catalog_(catalog),
-      hash_impl_(hash_impl),
       mph_indexes_(mph_indexes) {
   schema_ = MakeJoinLayout(left_->output_schema(), right_->output_schema()).schema;
 }
@@ -2150,110 +1807,10 @@ HashProductJoin::HashProductJoin(OperatorPtr left, OperatorPtr right,
 Status HashProductJoin::Open() {
   impl_ = std::make_unique<Impl>();
   impl_->layout = MakeJoinLayout(left_->output_schema(), right_->output_schema());
-  impl_->hash_impl = hash_impl_;
   impl_->mph_indexes = mph_indexes_;
-  impl_->build = VecKeyMap<std::vector<Row>>(hash_impl_);
-  impl_->packed_heads = PackedMap<std::pair<uint32_t, uint32_t>>(hash_impl_, 16);
-  impl_->vec_heads = VecKeyMap<std::pair<uint32_t, uint32_t>>(hash_impl_);
   impl_->memory.Bind(ctx_);
   impl_->memory.set_stats(stats_);
   impl_->part_memory.Bind(ctx_);
-  return Status::Ok();
-}
-
-Status HashProductJoin::BuildRows() {
-  Impl& st = *impl_;
-  const size_t nkeys = st.layout.shared.size();
-  const size_t right_arity = right_->output_schema().arity();
-  MPFDB_RETURN_IF_ERROR(right_->Open());
-  st.right_open = true;
-  Row row;
-  std::vector<VarValue> key(nkeys);
-  // Accounting is chunked: footprints accumulate locally and hit the
-  // governor every kChargeChunkBytes, so the common path costs one add per
-  // row instead of a Charge call. The budget can transiently be overshot by
-  // at most one chunk before the spill kicks in.
-  constexpr size_t kChargeChunkBytes = 32 * 1024;
-  size_t uncharged_bytes = 0;
-  while (true) {
-    MPFDB_RETURN_IF_ERROR(PollContext());
-    auto has = right_->Next(&row);
-    if (!has.ok()) return Annotate(has.status(), "HashProductJoin: build side");
-    if (!*has) break;
-    for (size_t k = 0; k < nkeys; ++k) {
-      key[k] = row.vars[st.layout.shared_right[k]];
-    }
-    if (st.spilling) {
-      MPFDB_RETURN_IF_ERROR(st.right_parts[SpillPartOf(KeyHash()(key))]->Append(
-          row.vars.data(), row.measure));
-      continue;
-    }
-    uncharged_bytes += MaterializedRowFootprint(row) + kHashEntryOverhead;
-    Status charge = Status::Ok();
-    if (uncharged_bytes >= kChargeChunkBytes) {
-      charge = st.memory.Charge(uncharged_bytes, "HashProductJoin: build side");
-      uncharged_bytes = 0;
-    }
-    if (charge.ok()) {
-      st.build.FindOrInsert(key, {}).first->push_back(row);
-      continue;
-    }
-    if (ctx_ == nullptr || !ctx_->spill_enabled()) return charge;
-    // Budget hit: flush the build table to key-hash partitions and keep
-    // routing the rest of the build side straight to disk.
-    MPFDB_ASSIGN_OR_RETURN(st.right_parts,
-                           MakeSpillPartitions(ctx_, right_arity));
-    if (stats_ != nullptr) stats_->spill_partitions = st.right_parts.size();
-    Status flush = Status::Ok();
-    st.build.ForEach([&](const std::vector<VarValue>& k,
-                         const std::vector<Row>& rows) {
-      if (!flush.ok()) return;
-      SpillFile& part = *st.right_parts[SpillPartOf(KeyHash()(k))];
-      for (const Row& r : rows) {
-        flush = part.Append(r.vars.data(), r.measure);
-        if (!flush.ok()) return;
-      }
-    });
-    MPFDB_RETURN_IF_ERROR(flush);
-    st.build.clear();
-    st.memory.ReleaseAll();
-    st.spilling = true;
-    MPFDB_RETURN_IF_ERROR(st.right_parts[SpillPartOf(KeyHash()(key))]->Append(
-        row.vars.data(), row.measure));
-  }
-  right_->Close();
-  st.right_open = false;
-  // Record the sub-chunk tail so stats stay honest; it is at most one chunk,
-  // matching the documented transient overshoot, so it is not worth a spill.
-  if (!st.spilling && uncharged_bytes > 0) {
-    st.memory.ChargeUnchecked(uncharged_bytes);
-  }
-
-  MPFDB_RETURN_IF_ERROR(left_->Open());
-  st.left_open = true;
-  st.probe_key.resize(nkeys);
-  if (!st.spilling) return Status::Ok();
-
-  // Partition the probe side by the same key hash so each partition pair can
-  // be joined independently in NextSpill.
-  st.left_arity = left_->output_schema().arity();
-  MPFDB_ASSIGN_OR_RETURN(st.left_parts, MakeSpillPartitions(ctx_, st.left_arity));
-  if (stats_ != nullptr) stats_->spill_partitions = st.left_parts.size();
-  Row lrow;
-  while (true) {
-    MPFDB_RETURN_IF_ERROR(PollContext());
-    auto has = left_->Next(&lrow);
-    if (!has.ok()) return Annotate(has.status(), "HashProductJoin: probe side");
-    if (!*has) break;
-    for (size_t k = 0; k < nkeys; ++k) {
-      st.probe_key[k] = lrow.vars[st.layout.shared_left[k]];
-    }
-    MPFDB_RETURN_IF_ERROR(
-        st.left_parts[SpillPartOf(KeyHash()(st.probe_key))]->Append(
-            lrow.vars.data(), lrow.measure));
-  }
-  left_->Close();
-  st.left_open = false;
   return Status::Ok();
 }
 
@@ -2331,7 +1888,7 @@ Status HashProductJoin::BuildBatches() {
     std::vector<double>().swap(staging_measures);
     std::vector<uint64_t>().swap(staged_keys);
     std::vector<uint32_t>().swap(next_row);
-    st.packed_heads = PackedMap<std::pair<uint32_t, uint32_t>>(st.hash_impl, 16);
+    st.packed_heads = SwissTable<std::pair<uint32_t, uint32_t>>(16);
     st.vec_heads.clear();
     st.dense = false;
     std::vector<std::pair<uint32_t, uint32_t>>().swap(st.dense_heads);
@@ -2569,12 +2126,16 @@ Status HashProductJoin::BuildBatches() {
     MPFDB_RETURN_IF_ERROR(left_->Open());
     st.left_open = true;
     // Partition the probe side by the same key hash so each partition pair
-    // can be joined independently in NextBatchSpill.
+    // can be joined independently, stamping every probe row with its
+    // arrival ordinal (see JoinSpillPartitions).
     st.left_arity = left_->output_schema().arity();
-    MPFDB_ASSIGN_OR_RETURN(st.left_parts,
-                           MakeSpillPartitions(ctx_, st.left_arity));
+    MPFDB_ASSIGN_OR_RETURN(
+        st.left_parts,
+        MakeSpillPartitions(ctx_, st.left_arity + kOrdinalVars));
     if (stats_ != nullptr) stats_->spill_partitions = st.left_parts.size();
-    st.spill_row.resize(std::max(st.spill_row.size(), st.left_arity));
+    st.spill_row.resize(
+        std::max(st.spill_row.size(), st.left_arity + kOrdinalVars));
+    uint64_t ordinal = 0;
     RowBatch lbatch;
     while (true) {
       auto lhas = left_->NextBatch(&lbatch);
@@ -2592,6 +2153,7 @@ Status HashProductJoin::BuildBatches() {
         for (size_t c = 0; c < st.left_arity; ++c) {
           st.spill_row[c] = lbatch.col(c)[r];
         }
+        StoreOrdinal(ordinal++, st.spill_row.data() + st.left_arity);
         MPFDB_RETURN_IF_ERROR(
             st.left_parts[SpillPartOf(KeyHash()(st.key_vals))]->Append(
                 st.spill_row.data(), measures[r]));
@@ -2670,106 +2232,6 @@ Status HashProductJoin::BuildBatches() {
   return Status::Ok();
 }
 
-StatusOr<bool> HashProductJoin::Next(Row* row) {
-  Impl& st = *impl_;
-  if (!st.built) {
-    MPFDB_RETURN_IF_ERROR(BuildRows());
-    st.built = true;
-  }
-  if (st.spilling) return NextSpill(row);
-  while (true) {
-    MPFDB_RETURN_IF_ERROR(PollContext());
-    if (st.matches != nullptr && st.match_index < st.matches->size()) {
-      const Row& right_row = (*st.matches)[st.match_index++];
-      const JoinLayout& layout = st.layout;
-      row->vars.resize(layout.schema.arity());
-      for (size_t c = 0; c < row->vars.size(); ++c) {
-        row->vars[c] = layout.out_from_left[c] != kNpos
-                           ? st.left_row.vars[layout.out_from_left[c]]
-                           : right_row.vars[layout.out_from_right[c]];
-      }
-      row->measure = semiring_.Multiply(st.left_row.measure, right_row.measure);
-      return true;
-    }
-    // Advance to the next probing left row.
-    auto has = left_->Next(&st.left_row);
-    if (!has.ok()) return Annotate(has.status(), "HashProductJoin: probe side");
-    if (!*has) return false;
-    for (size_t k = 0; k < st.probe_key.size(); ++k) {
-      st.probe_key[k] = st.left_row.vars[st.layout.shared_left[k]];
-    }
-    st.matches = st.build.Find(st.probe_key);
-    st.match_index = 0;
-  }
-}
-
-StatusOr<bool> HashProductJoin::NextSpill(Row* row) {
-  Impl& st = *impl_;
-  const JoinLayout& layout = st.layout;
-  while (true) {
-    MPFDB_RETURN_IF_ERROR(PollContext());
-    if (st.matches != nullptr && st.match_index < st.matches->size()) {
-      const Row& right_row = (*st.matches)[st.match_index++];
-      row->vars.resize(layout.schema.arity());
-      for (size_t c = 0; c < row->vars.size(); ++c) {
-        row->vars[c] = layout.out_from_left[c] != kNpos
-                           ? st.left_row.vars[layout.out_from_left[c]]
-                           : right_row.vars[layout.out_from_right[c]];
-      }
-      row->measure = semiring_.Multiply(st.left_row.measure, right_row.measure);
-      return true;
-    }
-    if (st.cur_part >= kSpillPartitions) return false;
-    if (!st.part_loaded) {
-      // Rebuild the hash table from this partition's build rows.
-      st.build.clear();
-      st.part_memory.ReleaseAll();
-      SpillFile& rp = *st.right_parts[st.cur_part];
-      MPFDB_RETURN_IF_ERROR(rp.Rewind());
-      if (ctx_ != nullptr) ctx_->RecordSpill(rp.num_rows(), rp.bytes_written());
-      Row rec;
-      rec.vars.resize(right_->output_schema().arity());
-      std::vector<VarValue> key(layout.shared.size());
-      while (true) {
-        MPFDB_RETURN_IF_ERROR(PollContext());
-        MPFDB_ASSIGN_OR_RETURN(bool has,
-                               rp.Next(rec.vars.data(), &rec.measure));
-        if (!has) break;
-        for (size_t k = 0; k < key.size(); ++k) {
-          key[k] = rec.vars[layout.shared_right[k]];
-        }
-        st.part_memory.ChargeUnchecked(MaterializedRowFootprint(rec) +
-                                       kHashEntryOverhead);
-        st.build.FindOrInsert(key, {}).first->push_back(rec);
-      }
-      MPFDB_RETURN_IF_ERROR(st.left_parts[st.cur_part]->Rewind());
-      if (ctx_ != nullptr) {
-        ctx_->RecordSpill(st.left_parts[st.cur_part]->num_rows(),
-                          st.left_parts[st.cur_part]->bytes_written());
-      }
-      st.part_loaded = true;
-    }
-    // Pull the next probe row of this partition.
-    st.left_row.vars.resize(st.left_arity);
-    MPFDB_ASSIGN_OR_RETURN(
-        bool has, st.left_parts[st.cur_part]->Next(st.left_row.vars.data(),
-                                                   &st.left_row.measure));
-    if (!has) {
-      st.right_parts[st.cur_part].reset();
-      st.left_parts[st.cur_part].reset();
-      ++st.cur_part;
-      st.part_loaded = false;
-      st.matches = nullptr;
-      continue;
-    }
-    for (size_t k = 0; k < st.probe_key.size(); ++k) {
-      st.probe_key[k] = st.left_row.vars[layout.shared_left[k]];
-    }
-    st.matches = st.build.Find(st.probe_key);
-    st.match_index = 0;
-  }
-}
-
 StatusOr<bool> HashProductJoin::NextBatch(RowBatch* out) {
   Impl& st = *impl_;
   if (!st.built) {
@@ -2780,10 +2242,10 @@ StatusOr<bool> HashProductJoin::NextBatch(RowBatch* out) {
   return JoinProbeNextBatch(st, st.probe, *left_, semiring_, ctx_, out);
 }
 
-Status HashProductJoin::LoadSpillPartition() {
+Status HashProductJoin::LoadSpillPartition(size_t part) {
   Impl& st = *impl_;
   const size_t nkeys = st.layout.shared.size();
-  SpillFile& rp = *st.right_parts[st.cur_part];
+  SpillFile& rp = *st.right_parts[part];
   MPFDB_RETURN_IF_ERROR(rp.Rewind());
   if (ctx_ != nullptr) ctx_->RecordSpill(rp.num_rows(), rp.bytes_written());
   // Same staging-then-compact build as BuildBatches, restricted to one
@@ -2832,64 +2294,100 @@ Status HashProductJoin::LoadSpillPartition() {
   st.part_memory.ReleaseAll();
   st.part_memory.ChargeUnchecked(
       total * (st.right_arity * sizeof(VarValue) + sizeof(double)));
-  MPFDB_RETURN_IF_ERROR(st.left_parts[st.cur_part]->Rewind());
-  if (ctx_ != nullptr) {
-    ctx_->RecordSpill(st.left_parts[st.cur_part]->num_rows(),
-                      st.left_parts[st.cur_part]->bytes_written());
+  return Status::Ok();
+}
+
+// Joins the spilled partitions pairwise. Each probe row lives in exactly one
+// partition, and the partition's probe run keeps arrival order, so its
+// output run is ordered by probe ordinal with every match run in build
+// insertion order. Merging the runs on the ordinal (NextBatchSpill) then
+// reproduces the in-memory emission row for row. Memory stays bounded by one
+// resident build partition here and by one read cursor per run afterwards.
+Status HashProductJoin::JoinSpillPartitions() {
+  Impl& st = *impl_;
+  const JoinLayout& layout = st.layout;
+  const size_t nkeys = layout.shared.size();
+  const size_t out_arity = layout.schema.arity();
+  MPFDB_ASSIGN_OR_RETURN(st.out_parts,
+                         MakeSpillPartitions(ctx_, out_arity + kOrdinalVars));
+  std::vector<VarValue> out_row(out_arity + kOrdinalVars);
+  std::vector<VarValue> key(nkeys);
+  for (size_t part = 0; part < kSpillPartitions; ++part) {
+    MPFDB_RETURN_IF_ERROR(LoadSpillPartition(part));
+    SpillFile& lp = *st.left_parts[part];
+    MPFDB_RETURN_IF_ERROR(lp.Rewind());
+    if (ctx_ != nullptr) ctx_->RecordSpill(lp.num_rows(), lp.bytes_written());
+    SpillFile& op = *st.out_parts[part];
+    double lm = 0.0;
+    while (true) {
+      MPFDB_ASSIGN_OR_RETURN(bool has, lp.Next(st.spill_row.data(), &lm));
+      if (!has) break;
+      MPFDB_RETURN_IF_ERROR(PollContext());
+      const VarValue* l = st.spill_row.data();
+      for (size_t k = 0; k < nkeys; ++k) key[k] = l[layout.shared_left[k]];
+      const auto* range = st.vec_heads.Find(key);
+      if (range == nullptr) continue;
+      for (auto [out_c, left_c] : st.out_left_cols) out_row[out_c] = l[left_c];
+      std::copy(l + st.left_arity, l + st.left_arity + kOrdinalVars,
+                out_row.data() + out_arity);
+      for (uint32_t i = range->first; i < range->first + range->second; ++i) {
+        for (auto [out_c, right_c] : st.out_right_cols) {
+          out_row[out_c] = st.arena_cols[right_c * st.arena_rows + i];
+        }
+        MPFDB_RETURN_IF_ERROR(op.Append(
+            out_row.data(), semiring_.Multiply(lm, st.arena_measures[i])));
+      }
+    }
+    st.right_parts[part].reset();
+    st.left_parts[part].reset();
   }
-  st.part_loaded = true;
+  st.arena_rows = 0;
+  st.arena_cols.clear();
+  st.arena_measures.clear();
+  st.vec_heads.clear();
+  st.part_memory.ReleaseAll();
+
+  // Prime the merge with every run's first record.
+  st.out_heads.assign(kSpillPartitions,
+                      std::vector<VarValue>(out_arity + kOrdinalVars));
+  st.out_head_measures.assign(kSpillPartitions, 0.0);
+  for (size_t part = 0; part < kSpillPartitions; ++part) {
+    SpillFile& op = *st.out_parts[part];
+    MPFDB_RETURN_IF_ERROR(op.Rewind());
+    if (ctx_ != nullptr) ctx_->RecordSpill(op.num_rows(), op.bytes_written());
+    MPFDB_ASSIGN_OR_RETURN(bool has, op.Next(st.out_heads[part].data(),
+                                             &st.out_head_measures[part]));
+    if (has) {
+      st.merge_heap.emplace(LoadOrdinal(st.out_heads[part].data() + out_arity),
+                            part);
+    }
+  }
   return Status::Ok();
 }
 
 StatusOr<bool> HashProductJoin::NextBatchSpill(RowBatch* out) {
   Impl& st = *impl_;
-  ProbeCursor& pc = st.probe;
-  const JoinLayout& layout = st.layout;
-  const size_t nkeys = layout.shared.size();
-  out->Prepare(layout.schema.arity());
-  while (!out->full()) {
-    if (pc.match_off < pc.match_len) {
-      EmitJoinRunSlice(st, pc, semiring_, out);
-      continue;
-    }
-    if (pc.left_pos >= pc.left_batch.num_rows()) {
-      if (st.cur_part >= kSpillPartitions) break;
-      if (!st.part_loaded) MPFDB_RETURN_IF_ERROR(LoadSpillPartition());
-      // Refill the probe batch from the current partition's probe run.
-      pc.left_batch.Prepare(st.left_arity);
-      size_t n = 0;
-      double measure = 0.0;
-      while (n < kBatchSize) {
-        MPFDB_ASSIGN_OR_RETURN(
-            bool has,
-            st.left_parts[st.cur_part]->Next(st.spill_row.data(), &measure));
-        if (!has) break;
-        pc.left_batch.AppendRow(st.spill_row.data(), measure);
-        ++n;
-      }
-      MPFDB_RETURN_IF_ERROR(PollContext(n == 0 ? 1 : n));
-      if (n == 0) {
-        st.right_parts[st.cur_part].reset();
-        st.left_parts[st.cur_part].reset();
-        ++st.cur_part;
-        st.part_loaded = false;
-        continue;
-      }
-      pc.left_pos = 0;
-      continue;
-    }
-    pc.cur_left = pc.left_pos++;
-    pc.match_off = 0;
-    pc.match_len = 0;
-    for (size_t k = 0; k < nkeys; ++k) {
-      st.key_vals[k] = pc.left_batch.col(layout.shared_left[k])[pc.cur_left];
-    }
-    auto* range = st.vec_heads.Find(st.key_vals);
-    if (range != nullptr) {
-      pc.match_start = range->first;
-      pc.match_len = range->second;
+  if (!st.spill_joined) {
+    MPFDB_RETURN_IF_ERROR(JoinSpillPartitions());
+    st.spill_joined = true;
+  }
+  const size_t arity = st.layout.schema.arity();
+  out->Prepare(arity);
+  while (!out->full() && !st.merge_heap.empty()) {
+    const size_t part = st.merge_heap.top().second;
+    st.merge_heap.pop();
+    out->AppendRow(st.out_heads[part].data(), st.out_head_measures[part]);
+    MPFDB_ASSIGN_OR_RETURN(
+        bool has, st.out_parts[part]->Next(st.out_heads[part].data(),
+                                           &st.out_head_measures[part]));
+    if (has) {
+      st.merge_heap.emplace(LoadOrdinal(st.out_heads[part].data() + arity),
+                            part);
+    } else {
+      st.out_parts[part].reset();  // unlink the run as soon as it is drained
     }
   }
+  MPFDB_RETURN_IF_ERROR(PollContext(out->empty() ? 1 : out->num_rows()));
   return !out->empty();
 }
 
@@ -2939,12 +2437,8 @@ struct SortMergeProductJoin::Impl {
   JoinLayout layout;
   MemoryGuard memory;
   bool drained = false;
-  // Row mode: materialized, stable-sorted inputs.
-  std::vector<Row> left_rows;
-  std::vector<Row> right_rows;
-  // Batch mode: flat row-major arenas plus stable-sorted row index orders
-  // (the cursors below then index into l_order/r_order instead of the row
-  // vectors — same comparator, same stability, same merge sequence).
+  // Flat row-major arenas plus stable-sorted row index orders; the cursors
+  // below index into l_order/r_order.
   size_t l_arity = 0, r_arity = 0;
   std::vector<VarValue> l_vars, r_vars;
   std::vector<double> l_measures, r_measures;
@@ -2975,50 +2469,18 @@ Status SortMergeProductJoin::Open() {
   impl_->layout = MakeJoinLayout(left_->output_schema(), right_->output_schema());
   impl_->memory.Bind(ctx_);
   impl_->memory.set_stats(stats_);
-  // Inputs are drained on the first pull (Next or NextBatch), not here, so
-  // the batch path can drain both children vectorized.
+  // Inputs are drained on the first pull, not here, so a budget breach
+  // surfaces where the drive loop can observe it.
   MPFDB_RETURN_IF_ERROR(left_->Open());
   return right_->Open();
 }
 
-// Row-mode drain: materialize both inputs and stable-sort them on the shared
-// variables. Stability keeps equal-key rows in arrival order, which makes
-// the run emission a key-restricted subsequence of hash join's output (see
-// the class comment). A presorted side (interesting-order reuse) skips its
-// sort — a stable sort of sorted input is the identity permutation.
-Status SortMergeProductJoin::DrainRows() {
-  Impl& st = *impl_;
-  Status drained = DrainChild(*left_, &st.left_rows, &st.memory,
-                              "SortMergeProductJoin: left input");
-  left_->Close();
-  MPFDB_RETURN_IF_ERROR(drained);
-  drained = DrainChild(*right_, &st.right_rows, &st.memory,
-                       "SortMergeProductJoin: right input");
-  right_->Close();
-  MPFDB_RETURN_IF_ERROR(drained);
-
-  auto sorter = [](const std::vector<size_t>& keys) {
-    return [&keys](const Row& a, const Row& b) {
-      for (size_t k : keys) {
-        if (a.vars[k] != b.vars[k]) return a.vars[k] < b.vars[k];
-      }
-      return false;
-    };
-  };
-  if (!left_presorted_) {
-    std::stable_sort(st.left_rows.begin(), st.left_rows.end(),
-                     sorter(st.layout.shared_left));
-  }
-  if (!right_presorted_) {
-    std::stable_sort(st.right_rows.begin(), st.right_rows.end(),
-                     sorter(st.layout.shared_right));
-  }
-  return Status::Ok();
-}
-
-// Batch-mode drain: pull both children through NextBatch into arenas and
-// stable-sort row indices with the same comparator as the row path, so both
-// drive modes merge rows in the same order and produce identical bits.
+// Drain: pull both children through NextBatch into arenas and stable-sort
+// row indices on the shared variables. Stability keeps equal-key rows in
+// arrival order, which makes the run emission a key-restricted subsequence
+// of hash join's output (see the class comment). A presorted side
+// (interesting-order reuse) skips its sort — a stable sort of sorted input
+// is the identity permutation.
 Status SortMergeProductJoin::DrainBatches() {
   Impl& st = *impl_;
   st.l_arity = left_->output_schema().arity();
@@ -3056,74 +2518,6 @@ Status SortMergeProductJoin::DrainBatches() {
   return Status::Ok();
 }
 
-StatusOr<bool> SortMergeProductJoin::Next(Row* row) {
-  Impl& st = *impl_;
-  if (!st.drained) {
-    MPFDB_RETURN_IF_ERROR(DrainRows());
-    st.drained = true;
-  }
-  const JoinLayout& layout = st.layout;
-  auto compare_keys = [&](const Row& l, const Row& r) {
-    for (size_t k = 0; k < layout.shared.size(); ++k) {
-      VarValue lv = l.vars[layout.shared_left[k]];
-      VarValue rv = r.vars[layout.shared_right[k]];
-      if (lv != rv) return lv < rv ? -1 : 1;
-    }
-    return 0;
-  };
-
-  while (true) {
-    MPFDB_RETURN_IF_ERROR(PollContext());
-    if (st.in_run) {
-      if (st.r_cursor < st.r_end) {
-        const Row& l = st.left_rows[st.l_cursor];
-        const Row& r = st.right_rows[st.r_cursor++];
-        row->vars.resize(layout.schema.arity());
-        for (size_t c = 0; c < row->vars.size(); ++c) {
-          row->vars[c] = layout.out_from_left[c] != kNpos
-                             ? l.vars[layout.out_from_left[c]]
-                             : r.vars[layout.out_from_right[c]];
-        }
-        row->measure = semiring_.Multiply(l.measure, r.measure);
-        return true;
-      }
-      // Advance to next left row in the run.
-      ++st.l_cursor;
-      st.r_cursor = st.ri;
-      if (st.l_cursor >= st.l_end) {
-        st.in_run = false;
-        st.li = st.l_end;
-        st.ri = st.r_end;
-      }
-      continue;
-    }
-    if (st.li >= st.left_rows.size() || st.ri >= st.right_rows.size()) {
-      return false;
-    }
-    int cmp = compare_keys(st.left_rows[st.li], st.right_rows[st.ri]);
-    if (cmp < 0) {
-      ++st.li;
-    } else if (cmp > 0) {
-      ++st.ri;
-    } else {
-      // Find the extent of the equal-key run on both sides.
-      st.l_end = st.li + 1;
-      while (st.l_end < st.left_rows.size() &&
-             compare_keys(st.left_rows[st.l_end], st.right_rows[st.ri]) == 0) {
-        ++st.l_end;
-      }
-      st.r_end = st.ri + 1;
-      while (st.r_end < st.right_rows.size() &&
-             compare_keys(st.left_rows[st.li], st.right_rows[st.r_end]) == 0) {
-        ++st.r_end;
-      }
-      st.l_cursor = st.li;
-      st.r_cursor = st.ri;
-      st.in_run = true;
-    }
-  }
-}
-
 StatusOr<bool> SortMergeProductJoin::NextBatch(RowBatch* out) {
   Impl& st = *impl_;
   if (!st.drained) {
@@ -3153,9 +2547,8 @@ StatusOr<bool> SortMergeProductJoin::NextBatch(RowBatch* out) {
   for (size_t c = 0; c < arity; ++c) cols[c] = out->col(c);
   double* measures = out->measures();
   size_t emitted = 0;
-  // Same merge automaton as the row path, over sorted index arrays: the
-  // (l_cursor, r_cursor) visit sequence is identical, so the batch engine
-  // emits exactly the row engine's output.
+  // Merge automaton over the sorted index arrays: within an equal-key run,
+  // left-major with both sides in arrival order.
   while (emitted < kBatchSize) {
     if (st.in_run) {
       if (st.r_cursor < st.r_end) {
@@ -3234,13 +2627,14 @@ Status NestedLoopProductJoin::Open() {
   memory_.Bind(ctx_);
   memory_.set_stats(stats_);
   MPFDB_RETURN_IF_ERROR(left_->Open());
-  Status drained = DrainToArena(*left_, &left_vars_, &left_measures_, &memory_,
-                                "NestedLoopProductJoin: left input");
+  Status drained =
+      DrainToArenaBatches(*left_, &left_vars_, &left_measures_, &memory_,
+                          "NestedLoopProductJoin: left input");
   left_->Close();
   MPFDB_RETURN_IF_ERROR(drained);
   MPFDB_RETURN_IF_ERROR(right_->Open());
-  drained = DrainToArena(*right_, &right_vars_, &right_measures_, &memory_,
-                         "NestedLoopProductJoin: right input");
+  drained = DrainToArenaBatches(*right_, &right_vars_, &right_measures_,
+                                &memory_, "NestedLoopProductJoin: right input");
   right_->Close();
   MPFDB_RETURN_IF_ERROR(drained);
   i_ = 0;
@@ -3248,17 +2642,20 @@ Status NestedLoopProductJoin::Open() {
   return Status::Ok();
 }
 
-StatusOr<bool> NestedLoopProductJoin::Next(Row* row) {
+StatusOr<bool> NestedLoopProductJoin::NextBatch(RowBatch* batch) {
   const size_t num_left = left_measures_.size();
   const size_t num_right = right_measures_.size();
-  while (i_ < num_left) {
+  const size_t arity = schema_.arity();
+  batch->Prepare(arity);
+  size_t emitted = 0;
+  while (i_ < num_left && emitted < kBatchSize) {
     // One poll per outer row, weighted by the inner-side cardinality so the
     // deadline check keeps up with the quadratic work.
     if (j_ == 0) {
       MPFDB_RETURN_IF_ERROR(PollContext(num_right == 0 ? 1 : num_right));
     }
     const VarValue* l = left_vars_.data() + i_ * left_arity_;
-    while (j_ < num_right) {
+    while (j_ < num_right && emitted < kBatchSize) {
       const VarValue* r = right_vars_.data() + j_ * right_arity_;
       const double right_measure = right_measures_[j_];
       ++j_;
@@ -3270,18 +2667,22 @@ StatusOr<bool> NestedLoopProductJoin::Next(Row* row) {
         }
       }
       if (!match) continue;
-      row->vars.resize(schema_.arity());
-      for (size_t c = 0; c < row->vars.size(); ++c) {
-        row->vars[c] = out_from_left_[c] != kNpos ? l[out_from_left_[c]]
-                                                  : r[out_from_right_[c]];
+      for (size_t c = 0; c < arity; ++c) {
+        batch->col(c)[emitted] = out_from_left_[c] != kNpos
+                                     ? l[out_from_left_[c]]
+                                     : r[out_from_right_[c]];
       }
-      row->measure = semiring_.Multiply(left_measures_[i_], right_measure);
-      return true;
+      batch->measures()[emitted] =
+          semiring_.Multiply(left_measures_[i_], right_measure);
+      ++emitted;
     }
-    j_ = 0;
-    ++i_;
+    if (j_ == num_right) {
+      j_ = 0;
+      ++i_;
+    }
   }
-  return false;
+  batch->set_num_rows(emitted);
+  return emitted > 0;
 }
 
 void NestedLoopProductJoin::Close() {

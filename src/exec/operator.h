@@ -19,33 +19,19 @@
 
 namespace mpfdb::exec {
 
-// A produced row flowing between operators.
-struct Row {
-  std::vector<VarValue> vars;
-  double measure = 0;
-};
-
-// Volcano-style physical operator. Usage: Open(), then Next() until it
-// returns false, then Close(). Operators own their children.
-//
-// Every operator also supports batch-at-a-time execution through NextBatch;
-// the base implementation adapts Next(Row*), and the hot operators override
-// it with native columnar implementations. A given operator instance must be
-// driven through either Next or NextBatch for its whole lifetime, never a
-// mix of both (blocking operators pick their internal drain strategy on the
-// first pull).
+// Volcano-style physical operator driven batch-at-a-time. Usage: Open(),
+// then NextBatch() until it returns false, then Close(). Operators own their
+// children, and every operator produces columnar batches natively.
 class PhysicalOperator {
  public:
   virtual ~PhysicalOperator() = default;
 
   virtual Status Open() = 0;
-  // Fills `row` and returns true, or returns false at end of stream.
-  virtual StatusOr<bool> Next(Row* row) = 0;
   // Fills `batch` with 1..kBatchSize rows and returns true, or returns false
   // at end of stream. The batch is Prepare()d to output_schema().arity() by
   // the callee; callers just pass the same RowBatch on every pull so its
   // buffers are reused.
-  virtual StatusOr<bool> NextBatch(RowBatch* batch);
+  virtual StatusOr<bool> NextBatch(RowBatch* batch) = 0;
   virtual void Close() = 0;
 
   // Binds the per-query resource context (memory budget, deadline,
@@ -54,7 +40,7 @@ class PhysicalOperator {
   // tree. A null context — the default — disables all governance.
   virtual void BindContext(QueryContext* ctx) { ctx_ = ctx; }
 
-  // --- Morsel-driven parallel protocol (batch engine only) -----------------
+  // --- Morsel-driven parallel protocol --------------------------------------
   // A parallel-capable operator can split its batch output into `n` disjoint
   // single-threaded streams: the streams' outputs, concatenated in stream
   // index order, reproduce exactly the rows AND row order of driving this
@@ -93,8 +79,8 @@ class PhysicalOperator {
  protected:
   // How many locally processed rows PollContext accumulates before it
   // forwards to QueryContext::Poll. Amortizes the poll's atomic load across
-  // row-at-a-time loops while keeping cancellation latency far below one
-  // batch (each polling operator adds at most this many rows of slack).
+  // per-row loops while keeping cancellation latency far below one batch
+  // (each polling operator adds at most this many rows of slack).
   static constexpr size_t kPollStride = 64;
 
   // Cancellation/deadline check; called from operator loops with the number
@@ -117,15 +103,10 @@ class PhysicalOperator {
 
 using OperatorPtr = std::unique_ptr<PhysicalOperator>;
 
-// Runs `op` to completion one row at a time and materializes its output.
-// When `ctx` is supplied the drive loop polls it as a backstop for operators
-// that emit many rows per leaf pull, and the operator is Closed on error so
+// Runs `op` to completion batch-at-a-time and materializes its output. When
+// `ctx` is supplied the drive loop polls it as a backstop for operators that
+// emit many rows per leaf pull, and the operator is Closed on error so
 // partial state is torn down before the Status propagates.
-StatusOr<TablePtr> Run(PhysicalOperator& op, const std::string& result_name,
-                       QueryContext* ctx = nullptr);
-
-// Runs `op` to completion batch-at-a-time (the vectorized engine entry
-// point) and materializes its output.
 StatusOr<TablePtr> RunBatch(PhysicalOperator& op,
                             const std::string& result_name,
                             QueryContext* ctx = nullptr);
@@ -138,7 +119,6 @@ class SeqScan : public PhysicalOperator {
   explicit SeqScan(TablePtr table) : table_(std::move(table)) {}
 
   Status Open() override;
-  StatusOr<bool> Next(Row* row) override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
   bool SupportsMorselStreams() const override { return true; }
@@ -166,7 +146,6 @@ class DiskScan : public PhysicalOperator {
     next_row_ = 0;
     return Status::Ok();
   }
-  StatusOr<bool> Next(Row* row) override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override {}
   bool SupportsMorselStreams() const override { return true; }
@@ -197,7 +176,7 @@ class IndexScan : public PhysicalOperator {
       : table_(std::move(table)), index_(index), value_(value) {}
 
   Status Open() override;
-  StatusOr<bool> Next(Row* row) override;
+  StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override {}
   const Schema& output_schema() const override { return table_->schema(); }
   std::string name() const override {
@@ -220,7 +199,6 @@ class Filter : public PhysicalOperator {
   Filter(OperatorPtr child, std::string var, VarValue value);
 
   Status Open() override;
-  StatusOr<bool> Next(Row* row) override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
   void BindContext(QueryContext* ctx) override {
@@ -257,7 +235,6 @@ class MeasureFilter : public PhysicalOperator {
       : child_(std::move(child)), having_(having) {}
 
   Status Open() override { return child_->Open(); }
-  StatusOr<bool> Next(Row* row) override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override { child_->Close(); }
   void BindContext(QueryContext* ctx) override {
@@ -290,7 +267,6 @@ class StreamProject : public PhysicalOperator {
   StreamProject(OperatorPtr child, std::vector<std::string> keep_vars);
 
   Status Open() override;
-  StatusOr<bool> Next(Row* row) override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
   void BindContext(QueryContext* ctx) override {
@@ -312,7 +288,6 @@ class StreamProject : public PhysicalOperator {
   std::vector<std::string> keep_vars_;
   Schema schema_;
   std::vector<size_t> keep_indices_;
-  Row scratch_;
   RowBatch child_batch_;
 };
 
@@ -320,20 +295,16 @@ class StreamProject : public PhysicalOperator {
 // `group_vars`, combines measures with the semiring's Add.
 //
 // When a `catalog` is supplied and its domain statistics show the group
-// variables pack into 64 bits, the batch path hashes one uint64 per row
-// instead of a std::vector<VarValue>; otherwise it falls back to vector
-// keys. `hash_impl` selects the table family every path folds into
-// (ExecOptions::hash_impl): the SIMD Swiss tables by default, or the legacy
-// std::unordered_map / linear-probe structures — results are bit-identical
-// either way because every drain sorts its groups before emitting.
+// variables pack into 64 bits, the fold hashes one uint64 per row instead of
+// a std::vector<VarValue>; otherwise it falls back to vector keys. Every
+// fold runs on the Swiss tables, and every drain sorts its groups before
+// emitting, so the output order never depends on the table's layout.
 class HashMarginalize : public PhysicalOperator {
  public:
   HashMarginalize(OperatorPtr child, std::vector<std::string> group_vars,
-                  Semiring semiring, const Catalog* catalog = nullptr,
-                  HashImpl hash_impl = HashImpl::kSwiss);
+                  Semiring semiring, const Catalog* catalog = nullptr);
 
   Status Open() override;
-  StatusOr<bool> Next(Row* row) override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
   void BindContext(QueryContext* ctx) override {
@@ -352,7 +323,6 @@ class HashMarginalize : public PhysicalOperator {
   std::string name() const override { return "HashMarginalize"; }
 
  private:
-  Status DrainRows();
   Status DrainBatches();
   // Morsel-parallel drain: partitions (key, measure) pairs by key hash so
   // every key is folded on exactly one partition in global input order.
@@ -365,16 +335,13 @@ class HashMarginalize : public PhysicalOperator {
   std::vector<std::string> group_vars_;
   Semiring semiring_;
   const Catalog* catalog_;
-  HashImpl hash_impl_;
   Schema schema_;
   std::vector<size_t> key_indices_;
   bool drained_ = false;
   // Accounting for the materialized groups (released on Close/re-Open); the
   // transient aggregation tables use drain-local guards.
   MemoryGuard memory_;
-  // Row-mode result: materialized groups emitted by Next.
-  std::vector<Row> groups_;
-  // Batch-mode result: row-major group keys plus parallel measures.
+  // The result: row-major group keys plus parallel measures.
   std::vector<VarValue> out_vars_;
   std::vector<double> out_measures_;
   size_t next_group_ = 0;
@@ -385,23 +352,18 @@ class HashMarginalize : public PhysicalOperator {
 // stable sort keeps equal-key rows in arrival order, so per-group folds —
 // and the sorted group emission — are bit-identical to HashMarginalize.
 // `input_presorted` (set by the physical planner's interesting-order pass)
-// promises the input already arrives sorted by `group_vars`; the row path
-// then skips the sort (a stable sort of sorted input is the identity
-// permutation, so the skip cannot change results) and the batch path goes
-// further: groups arrive contiguously, so it folds runs batch-by-batch as
-// they stream past without materializing the input at all — the avoided
-// re-sort also avoids the drain. Otherwise the input is drained lazily on
-// the first pull (not in Open), and the batch path folds a columnar arena
-// natively instead of falling back to the row adapter. Either way the
-// per-group fold order is child arrival order, bit-identical to
-// HashMarginalize.
+// promises the input already arrives sorted by `group_vars`: groups then
+// arrive contiguously, so runs fold batch-by-batch as they stream past
+// without materializing the input at all — the avoided re-sort also avoids
+// the drain. Otherwise the input is drained into a row-major arena on the
+// first pull (not in Open). Either way the per-group fold order is child
+// arrival order, bit-identical to HashMarginalize.
 class SortMarginalize : public PhysicalOperator {
  public:
   SortMarginalize(OperatorPtr child, std::vector<std::string> group_vars,
                   Semiring semiring, bool input_presorted = false);
 
   Status Open() override;
-  StatusOr<bool> Next(Row* row) override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
   void BindContext(QueryContext* ctx) override {
@@ -412,7 +374,6 @@ class SortMarginalize : public PhysicalOperator {
   std::string name() const override { return "SortMarginalize"; }
 
  private:
-  Status DrainRows();
   Status DrainBatches();
 
   OperatorPtr child_;
@@ -422,15 +383,12 @@ class SortMarginalize : public PhysicalOperator {
   Schema schema_;
   std::vector<size_t> key_indices_;
   bool drained_ = false;
-  // Row mode: sorted input rows; Next folds runs from cursor_.
-  std::vector<Row> sorted_input_;
-  size_t cursor_ = 0;
-  // Batch mode: folded groups (row-major keys + parallel measures), emitted
-  // in slices from next_group_.
+  // Folded groups (row-major keys + parallel measures), emitted in slices
+  // from next_group_.
   std::vector<VarValue> out_vars_;
   std::vector<double> out_measures_;
   size_t next_group_ = 0;
-  // Streaming presorted batch mode: the in-flight child batch and the group
+  // Streaming presorted mode: the in-flight child batch and the group
   // run currently being folded across batch boundaries.
   RowBatch in_batch_;
   size_t in_pos_ = 0;
@@ -448,26 +406,29 @@ class SortMarginalize : public PhysicalOperator {
 // with measure Multiply(left.f, right.f). With no shared variables this
 // degenerates to a cross product.
 //
-// The batch path materializes the build side into a flat arena with packed
-// 64-bit keys when `catalog` domain statistics allow (vector-key fallback
-// otherwise); the row path keeps the legacy per-key Row vectors. Every head
-// map runs on the table family `hash_impl` selects (Swiss by default); the
-// arena compaction order may differ between families, but each key's match
-// run stays contiguous and insertion-ordered, so emission is bit-identical.
+// The build side is materialized into a flat arena with packed 64-bit keys
+// when `catalog` domain statistics allow (vector-key fallback otherwise), and
+// its head maps are Swiss tables. The arena compaction order follows the
+// table's layout, but each key's match run stays contiguous and
+// insertion-ordered, so emission is independent of it.
+//
+// Over the memory budget (with spill enabled) both sides are partitioned to
+// disk by key hash and joined one partition pair at a time. Every probe row
+// carries its arrival ordinal into its partition, each partition's output is
+// written to its own run with that ordinal, and the runs are merged on it:
+// a spilled join emits exactly the in-memory row order, so the folds of an
+// operator above it are bit-identical too.
 class HashProductJoin : public PhysicalOperator {
  public:
-  // `mph_indexes` lets the batch build replace its head hash map with a
-  // dense perfect-index array when the packed-key universe is small — the
-  // catalog fixes domains per epoch, so the array is collision-free by
+  // `mph_indexes` lets the build replace its head hash map with a dense
+  // perfect-index array when the packed-key universe is small — the catalog
+  // fixes domains per epoch, so the array is collision-free by
   // construction. Pure lookup accelerator; results are bit-identical.
   HashProductJoin(OperatorPtr left, OperatorPtr right, Semiring semiring,
-                  const Catalog* catalog = nullptr,
-                  HashImpl hash_impl = HashImpl::kSwiss,
-                  bool mph_indexes = true);
+                  const Catalog* catalog = nullptr, bool mph_indexes = true);
   ~HashProductJoin() override;
 
   Status Open() override;
-  StatusOr<bool> Next(Row* row) override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
   void BindContext(QueryContext* ctx) override {
@@ -491,17 +452,15 @@ class HashProductJoin : public PhysicalOperator {
 
  private:
   struct Impl;
-  Status BuildRows();
   Status BuildBatches();
-  StatusOr<bool> NextSpill(Row* row);
+  Status LoadSpillPartition(size_t part);
+  Status JoinSpillPartitions();
   StatusOr<bool> NextBatchSpill(RowBatch* out);
-  Status LoadSpillPartition();
 
   OperatorPtr left_;
   OperatorPtr right_;
   Semiring semiring_;
   const Catalog* catalog_;
-  HashImpl hash_impl_;
   bool mph_indexes_;
   Schema schema_;
   std::unique_ptr<Impl> impl_;
@@ -513,9 +472,8 @@ class HashProductJoin : public PhysicalOperator {
 // emission is left-major with both sides in arrival order (stable sort), so
 // restricted to any one shared-key value the output sequence matches hash
 // join's exactly. `left/right_presorted` (interesting-order reuse) skip the
-// corresponding sort. Inputs are drained lazily on the first pull, and the
-// batch path merges columnar arenas natively instead of falling back to the
-// row adapter.
+// corresponding sort. Inputs are drained into row-major arenas on the first
+// pull.
 class SortMergeProductJoin : public PhysicalOperator {
  public:
   SortMergeProductJoin(OperatorPtr left, OperatorPtr right, Semiring semiring,
@@ -524,7 +482,6 @@ class SortMergeProductJoin : public PhysicalOperator {
   ~SortMergeProductJoin() override;
 
   Status Open() override;
-  StatusOr<bool> Next(Row* row) override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
   void BindContext(QueryContext* ctx) override {
@@ -537,7 +494,6 @@ class SortMergeProductJoin : public PhysicalOperator {
 
  private:
   struct Impl;
-  Status DrainRows();
   Status DrainBatches();
 
   OperatorPtr left_;
@@ -550,14 +506,14 @@ class SortMergeProductJoin : public PhysicalOperator {
 };
 
 // Nested-loop product join; quadratic, present as the fallback comparison
-// point for the operator ablation bench. Inputs are drained into flat
-// arenas (not per-row vectors) so Open performs no per-tuple allocation.
+// point for the operator ablation bench. Open drains both inputs batch-wise
+// into flat row-major arenas, so it performs no per-tuple allocation.
 class NestedLoopProductJoin : public PhysicalOperator {
  public:
   NestedLoopProductJoin(OperatorPtr left, OperatorPtr right, Semiring semiring);
 
   Status Open() override;
-  StatusOr<bool> Next(Row* row) override;
+  StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
   void BindContext(QueryContext* ctx) override {
     ctx_ = ctx;

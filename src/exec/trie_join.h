@@ -125,7 +125,6 @@ class TrieJoin : public PhysicalOperator {
   ~TrieJoin() override;
 
   Status Open() override;
-  StatusOr<bool> Next(Row* row) override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
   void BindContext(QueryContext* ctx) override;
@@ -202,9 +201,6 @@ class TrieJoin : public PhysicalOperator {
   bool have_match_ = false;
   std::vector<size_t> odo_;
 
-  // Row-at-a-time adapter over the native batch path.
-  RowBatch row_buf_;
-  size_t row_pos_ = 0;
 };
 
 }  // namespace mpfdb::exec

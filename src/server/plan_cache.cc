@@ -28,10 +28,8 @@ std::string ExecFingerprint(const exec::ExecOptions& options,
                             size_t planner_memory_limit) {
   std::ostringstream os;
   os << "j" << static_cast<int>(options.join) << "a"
-     << static_cast<int>(options.agg) << "v" << (options.vectorized ? 1 : 0)
-     << "p" << (options.packed_keys ? 1 : 0) << "h"
-     << static_cast<int>(options.hash_impl) << "x"
-     << (options.mph_indexes ? 1 : 0) << "m" << planner_memory_limit;
+     << static_cast<int>(options.agg) << "p" << (options.packed_keys ? 1 : 0)
+     << "x" << (options.mph_indexes ? 1 : 0) << "m" << planner_memory_limit;
   return os.str();
 }
 

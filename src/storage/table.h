@@ -96,7 +96,7 @@ class Table {
   // Pre-allocates storage for `n` rows.
   void Reserve(size_t n);
 
-  // Batch readout for the vectorized executor: copies rows
+  // Batch readout for the batch executor: copies rows
   // [start, start + n) into caller-provided column buffers. `cols_out` must
   // hold arity() columns of `col_stride` values each (column-major, so
   // column c of row r lands at cols_out[c * col_stride + r - start]);

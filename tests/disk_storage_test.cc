@@ -364,7 +364,7 @@ TEST(DiskScanTest, StreamsThroughFullPipeline) {
       std::make_unique<exec::DiskScan>(da->get()),
       std::make_unique<exec::DiskScan>(db->get()), sr);
   exec::HashMarginalize agg(std::move(join), {"y"}, sr);
-  auto result = exec::Run(agg, "out");
+  auto result = exec::RunBatch(agg, "out");
   ASSERT_TRUE(result.ok()) << result.status();
 
   auto expected_join = fr::ProductJoin(a, b, sr, "j");
@@ -382,8 +382,9 @@ TEST(DiskScanTest, StreamsThroughFullPipeline) {
 }
 
 TEST(DiskScanTest, BatchScanMatchesRowScan) {
-  // DiskScan's native NextBatch (page-wise ReadRange) must materialize the
-  // same table as its row-at-a-time path, bit for bit.
+  // DiskScan's page-wise batches (ReadRange) must materialize the same table
+  // as reading the rows one at a time through DiskTable::ReadRow, bit for
+  // bit.
   Rng rng(79);
   Table t("t", Schema({"x", "y"}, "f"));
   for (int i = 0; i < 2600; ++i) {
@@ -394,14 +395,18 @@ TEST(DiskScanTest, BatchScanMatchesRowScan) {
   auto disk = DiskTable::Open(path, 4);
   ASSERT_TRUE(disk.ok());
 
-  exec::DiskScan row_scan(disk->get());
+  Table by_row("out", t.schema());
+  std::vector<VarValue> vars;
+  double measure = 0;
+  for (uint64_t r = 0; r < (*disk)->NumRows(); ++r) {
+    ASSERT_TRUE((*disk)->ReadRow(r, &vars, &measure).ok());
+    by_row.AppendRow(vars, measure);
+  }
   exec::DiskScan batch_scan(disk->get());
-  auto by_row = exec::Run(row_scan, "out");
   auto by_batch = exec::RunBatch(batch_scan, "out");
-  ASSERT_TRUE(by_row.ok()) << by_row.status();
   ASSERT_TRUE(by_batch.ok()) << by_batch.status();
   ASSERT_EQ((*by_batch)->NumRows(), 2600u);
-  EXPECT_TRUE(fr::TablesEqual(**by_row, **by_batch, 0.0));
+  EXPECT_TRUE(fr::TablesEqual(by_row, **by_batch, 0.0));
   fs::remove(path);
 }
 

@@ -1,4 +1,4 @@
-// Operator-level tests of the Volcano execution engine, including edge cases
+// Operator-level tests of the batch execution engine, including edge cases
 // (empty inputs, no shared variables, duplicate keys) and cross-checks
 // between the three join algorithms and two aggregation algorithms.
 
@@ -15,6 +15,8 @@
 #include "exec/operator.h"
 #include "exec/thread_pool.h"
 #include "fr/algebra.h"
+#include "storage/index.h"
+#include "util/query_context.h"
 #include "util/rng.h"
 
 namespace mpfdb::exec {
@@ -46,24 +48,25 @@ TEST(SeqScanTest, StreamsAllRows) {
   TablePtr t = MakeTable("t", {"x"}, {{{0}, 1.0}, {{1}, 2.0}});
   SeqScan scan(t);
   ASSERT_TRUE(scan.Open().ok());
-  Row row;
-  ASSERT_TRUE(*scan.Next(&row));
-  EXPECT_EQ(row.vars[0], 0);
-  ASSERT_TRUE(*scan.Next(&row));
-  EXPECT_EQ(row.vars[0], 1);
-  EXPECT_FALSE(*scan.Next(&row));
+  RowBatch batch;
+  ASSERT_TRUE(*scan.NextBatch(&batch));
+  ASSERT_EQ(batch.num_rows(), 2u);
+  EXPECT_EQ(batch.col(0)[0], 0);
+  EXPECT_EQ(batch.col(0)[1], 1);
+  EXPECT_EQ(batch.measures()[1], 2.0);
+  EXPECT_FALSE(*scan.NextBatch(&batch));
   scan.Close();
   // Re-open rewinds.
   ASSERT_TRUE(scan.Open().ok());
-  ASSERT_TRUE(*scan.Next(&row));
-  EXPECT_EQ(row.vars[0], 0);
+  ASSERT_TRUE(*scan.NextBatch(&batch));
+  EXPECT_EQ(batch.col(0)[0], 0);
 }
 
 TEST(FilterTest, PassesMatchingRows) {
   TablePtr t = MakeTable("t", {"x", "y"},
                          {{{0, 1}, 1.0}, {{1, 1}, 2.0}, {{1, 2}, 3.0}});
   Filter filter(std::make_unique<SeqScan>(t), "x", 1);
-  auto result = ::mpfdb::exec::Run(filter, "out");
+  auto result = ::mpfdb::exec::RunBatch(filter, "out");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result)->NumRows(), 2u);
 }
@@ -78,7 +81,7 @@ TEST(MeasureFilterTest, FiltersOnMeasure) {
   TablePtr t = MakeTable("t", {"x"}, {{{0}, 1.0}, {{1}, 5.0}, {{2}, 3.0}});
   MeasureFilter filter(std::make_unique<SeqScan>(t),
                        HavingClause{CompareOp::kGe, 3.0});
-  auto result = ::mpfdb::exec::Run(filter, "out");
+  auto result = ::mpfdb::exec::RunBatch(filter, "out");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result)->NumRows(), 2u);
 }
@@ -86,7 +89,7 @@ TEST(MeasureFilterTest, FiltersOnMeasure) {
 TEST(StreamProjectTest, DropsColumns) {
   TablePtr t = MakeTable("t", {"x", "y", "z"}, {{{1, 2, 3}, 4.0}});
   StreamProject project(std::make_unique<SeqScan>(t), {"z", "x"});
-  auto result = ::mpfdb::exec::Run(project, "out");
+  auto result = ::mpfdb::exec::RunBatch(project, "out");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result)->schema().variables(),
             (std::vector<std::string>{"z", "x"}));
@@ -119,7 +122,7 @@ class JoinAlgorithmTest : public ::testing::TestWithParam<JoinAlgorithm> {
   // Canonically sorted result of joining left and right.
   TablePtr JoinTables(TablePtr left, TablePtr right) {
     OperatorPtr join = MakeJoin(std::move(left), std::move(right));
-    auto result = ::mpfdb::exec::Run(*join, "out");
+    auto result = ::mpfdb::exec::RunBatch(*join, "out");
     EXPECT_TRUE(result.ok()) << result.status();
     std::vector<size_t> all((*result)->schema().arity());
     std::iota(all.begin(), all.end(), 0);
@@ -221,7 +224,7 @@ TEST_P(AggAlgorithmTest, MatchesReferenceAlgebra) {
       auto expected = fr::Marginalize(*t, {"y"}, semiring, "ref");
       ASSERT_TRUE(expected.ok());
       OperatorPtr agg = MakeAgg(t, {"y"}, semiring);
-      auto actual = ::mpfdb::exec::Run(*agg, "out");
+      auto actual = ::mpfdb::exec::RunBatch(*agg, "out");
       ASSERT_TRUE(actual.ok());
       std::vector<size_t> all((*actual)->schema().arity());
       std::iota(all.begin(), all.end(), 0);
@@ -235,7 +238,7 @@ TEST_P(AggAlgorithmTest, MatchesReferenceAlgebra) {
 TEST_P(AggAlgorithmTest, EmptyInput) {
   TablePtr t = MakeTable("t", {"x"}, {});
   OperatorPtr agg = MakeAgg(t, {"x"}, Semiring::SumProduct());
-  auto result = ::mpfdb::exec::Run(*agg, "out");
+  auto result = ::mpfdb::exec::RunBatch(*agg, "out");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result)->NumRows(), 0u);
 }
@@ -243,7 +246,7 @@ TEST_P(AggAlgorithmTest, EmptyInput) {
 TEST_P(AggAlgorithmTest, GroupByNothingYieldsScalar) {
   TablePtr t = MakeTable("t", {"x"}, {{{0}, 1.5}, {{1}, 2.5}});
   OperatorPtr agg = MakeAgg(t, {}, Semiring::SumProduct());
-  auto result = ::mpfdb::exec::Run(*agg, "out");
+  auto result = ::mpfdb::exec::RunBatch(*agg, "out");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ((*result)->NumRows(), 1u);
   EXPECT_DOUBLE_EQ((*result)->measure(0), 4.0);
@@ -278,15 +281,17 @@ class FailingOperator : public PhysicalOperator {
     emitted_ = 0;
     return Status::Ok();
   }
-  StatusOr<bool> Next(Row* row) override {
+  // Emits one row per batch, so kNextAfterOne fails on the second pull
+  // after a batch has already flowed downstream.
+  StatusOr<bool> NextBatch(RowBatch* batch) override {
     if (fail_at_ == FailAt::kNextImmediately ||
         (fail_at_ == FailAt::kNextAfterOne && emitted_ >= 1)) {
       return Status::Internal("injected next failure");
     }
+    batch->Prepare(table_->schema().arity());
     if (emitted_ >= table_->NumRows()) return false;
     RowView view = table_->Row(emitted_++);
-    row->vars.assign(view.vars, view.vars + view.arity);
-    row->measure = view.measure;
+    batch->AppendRow(view.vars, view.measure);
     return true;
   }
   void Close() override {}
@@ -315,41 +320,41 @@ TEST_P(FailureInjectionTest, ErrorsPropagateThroughEveryOperator) {
   // Unary operators.
   {
     Filter op(Failing(t), "x", 0);
-    EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
+    EXPECT_FALSE(::mpfdb::exec::RunBatch(op, "out").ok());
   }
   {
     HashMarginalize op(Failing(t), {"x"}, sr);
-    EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
+    EXPECT_FALSE(::mpfdb::exec::RunBatch(op, "out").ok());
   }
   {
     SortMarginalize op(Failing(t), {"x"}, sr);
-    EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
+    EXPECT_FALSE(::mpfdb::exec::RunBatch(op, "out").ok());
   }
   {
     StreamProject op(Failing(t), {"x"});
-    EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
+    EXPECT_FALSE(::mpfdb::exec::RunBatch(op, "out").ok());
   }
   {
     MeasureFilter op(Failing(t), HavingClause{CompareOp::kGt, 0.0});
-    EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
+    EXPECT_FALSE(::mpfdb::exec::RunBatch(op, "out").ok());
   }
 
   // Joins, failing child on either side.
   {
     HashProductJoin op(Failing(t), std::make_unique<SeqScan>(other), sr);
-    EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
+    EXPECT_FALSE(::mpfdb::exec::RunBatch(op, "out").ok());
   }
   {
     HashProductJoin op(std::make_unique<SeqScan>(other), Failing(t), sr);
-    EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
+    EXPECT_FALSE(::mpfdb::exec::RunBatch(op, "out").ok());
   }
   {
     SortMergeProductJoin op(Failing(t), std::make_unique<SeqScan>(other), sr);
-    EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
+    EXPECT_FALSE(::mpfdb::exec::RunBatch(op, "out").ok());
   }
   {
     NestedLoopProductJoin op(std::make_unique<SeqScan>(other), Failing(t), sr);
-    EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
+    EXPECT_FALSE(::mpfdb::exec::RunBatch(op, "out").ok());
   }
 }
 
@@ -479,7 +484,7 @@ TEST(PackedKeyCodecTest, ColumnarMatchesScalarEncode) {
   }
 }
 
-// --- Vectorized execution ----------------------------------------------------
+// --- Batch execution -------------------------------------------------------
 
 class BatchExecutionTest : public ::testing::Test {
  protected:
@@ -491,16 +496,34 @@ class BatchExecutionTest : public ::testing::Test {
     return *result;
   }
 
-  // Builds the tree twice (an operator instance must not mix Next and
-  // NextBatch) and demands bit-identical materialized output.
+  // Runs a fresh tree from `make_tree` ungoverned on the calling thread,
+  // then on a 4-thread pool, then under a 2 KiB budget with spill, and
+  // demands the same rows in the same order, bit for bit.
   template <typename MakeTree>
   static void ExpectParity(const MakeTree& make_tree) {
-    OperatorPtr row_tree = make_tree();
-    OperatorPtr batch_tree = make_tree();
-    TablePtr by_row = Canon(::mpfdb::exec::Run(*row_tree, "out"));
-    TablePtr by_batch = Canon(::mpfdb::exec::RunBatch(*batch_tree, "out"));
-    ASSERT_EQ(by_row->NumRows(), by_batch->NumRows());
-    EXPECT_TRUE(fr::TablesEqual(*by_row, *by_batch, 0.0));
+    OperatorPtr serial_tree = make_tree();
+    auto serial = ::mpfdb::exec::RunBatch(*serial_tree, "out");
+    ASSERT_TRUE(serial.ok()) << serial.status();
+
+    ThreadPool pool(4);
+    QueryContext parallel_ctx;
+    parallel_ctx.set_thread_pool(&pool);
+    OperatorPtr parallel_tree = make_tree();
+    parallel_tree->BindContext(&parallel_ctx);
+    auto parallel =
+        ::mpfdb::exec::RunBatch(*parallel_tree, "out", &parallel_ctx);
+    ASSERT_TRUE(parallel.ok()) << parallel.status();
+    EXPECT_TRUE(fr::TablesEqual(**serial, **parallel, 0.0)) << "threads=4";
+
+    QueryContext spill_ctx;
+    spill_ctx.set_memory_limit(2 * 1024);
+    spill_ctx.set_spill_enabled(true);
+    OperatorPtr spill_tree = make_tree();
+    spill_tree->BindContext(&spill_ctx);
+    auto spilled = ::mpfdb::exec::RunBatch(*spill_tree, "out", &spill_ctx);
+    ASSERT_TRUE(spilled.ok()) << spilled.status();
+    EXPECT_TRUE(fr::TablesEqual(**serial, **spilled, 0.0)) << "spill";
+    EXPECT_EQ(spill_ctx.stats().bytes_in_use, 0u);
   }
 };
 
@@ -578,16 +601,34 @@ TEST_F(BatchExecutionTest, GroupByNothingBitIdentical) {
   });
 }
 
-TEST_F(BatchExecutionTest, DefaultAdapterCoversRowOnlyOperators) {
-  // SortMarginalize now has a native NextBatch, but this test still pins the
-  // batch-vs-row parity contract for it (RunBatch vs Run, bit for bit).
+TEST_F(BatchExecutionTest, IndexScanAndNestedLoopEmitNativeBatches) {
+  // Inputs span several batches. IndexScan must emit exactly the rows a
+  // filtered scan does, in table order; the nested-loop join must emit
+  // exactly the hash join's rows, in its order (both are left-major with
+  // the right side in arrival order).
   Rng rng(33);
-  TablePtr t = RandomTable("t", {"x", "y"}, {512, 8}, 2000, rng);
-  ExpectParity([&]() -> OperatorPtr {
-    return std::make_unique<SortMarginalize>(std::make_unique<SeqScan>(t),
-                                             std::vector<std::string>{"y"},
-                                             Semiring::SumProduct());
-  });
+  TablePtr t = RandomTable("t", {"x", "y"}, {4096, 4}, 6000, rng);
+  TablePtr u = RandomTable("u", {"y", "z"}, {4, 8}, 24, rng);
+  auto index = HashIndex::Build(*t, "y");
+  ASSERT_TRUE(index.ok()) << index.status();
+  IndexScan index_scan(t, index->get(), 2);
+  Filter filter(std::make_unique<SeqScan>(t), "y", 2);
+  auto by_index = ::mpfdb::exec::RunBatch(index_scan, "out");
+  auto by_filter = ::mpfdb::exec::RunBatch(filter, "out");
+  ASSERT_TRUE(by_index.ok() && by_filter.ok());
+  EXPECT_GT((*by_index)->NumRows(), kBatchSize);
+  EXPECT_TRUE(fr::TablesEqual(**by_filter, **by_index, 0.0));
+
+  Semiring sr = Semiring::SumProduct();
+  NestedLoopProductJoin nested(std::make_unique<SeqScan>(t),
+                               std::make_unique<SeqScan>(u), sr);
+  HashProductJoin hash(std::make_unique<SeqScan>(t),
+                       std::make_unique<SeqScan>(u), sr);
+  auto by_nested = ::mpfdb::exec::RunBatch(nested, "out");
+  auto by_hash = ::mpfdb::exec::RunBatch(hash, "out");
+  ASSERT_TRUE(by_nested.ok() && by_hash.ok());
+  EXPECT_GT((*by_nested)->NumRows(), kBatchSize);
+  EXPECT_TRUE(fr::TablesEqual(**by_hash, **by_nested, 0.0));
 }
 
 TEST_F(BatchExecutionTest, EmptyInputs) {
@@ -643,9 +684,9 @@ TEST_F(BatchExecutionTest, ErrorsPropagateThroughRunBatch) {
 }
 
 TEST_F(BatchExecutionTest, OutOfDomainValueFailsUnderPackedKeys) {
-  // The catalog declares dom(x) = 2 but the data contains x = 5: the packed
-  // batch path must fail loudly rather than silently corrupt keys. The row
-  // path ignores domain statistics and still succeeds.
+  // The catalog declares dom(x) = 2 but the data contains x = 5: packed keys
+  // must fail loudly rather than silently corrupt keys. Without a catalog
+  // the operators ignore domain statistics and still succeed.
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterVariable("x", 2).ok());
   ASSERT_TRUE(catalog.RegisterVariable("y", 2).ok());
@@ -666,40 +707,8 @@ TEST_F(BatchExecutionTest, OutOfDomainValueFailsUnderPackedKeys) {
   }
   {
     HashMarginalize agg(std::make_unique<SeqScan>(t),
-                        std::vector<std::string>{"x"}, sr, &catalog);
-    EXPECT_TRUE(::mpfdb::exec::Run(agg, "out").ok());
-  }
-}
-
-TEST_F(BatchExecutionTest, ExecutorRespectsVectorizedOption) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.RegisterVariable("x", 64).ok());
-  ASSERT_TRUE(catalog.RegisterVariable("y", 8).ok());
-  Rng rng(35);
-  TablePtr t = RandomTable("t", {"x", "y"}, {64, 8}, 300, rng);
-  ASSERT_TRUE(catalog.RegisterTable(t).ok());
-  SimpleCostModel cost_model;
-  PlanBuilder builder(catalog, cost_model);
-  auto scan = builder.Scan("t");
-  ASSERT_TRUE(scan.ok());
-  auto grouped = builder.GroupBy(*scan, {"y"});
-  ASSERT_TRUE(grouped.ok());
-
-  TablePtr results[4];
-  int i = 0;
-  for (bool vectorized : {false, true}) {
-    for (bool packed : {false, true}) {
-      ExecOptions options;
-      options.vectorized = vectorized;
-      options.packed_keys = packed;
-      Executor executor(catalog, Semiring::SumProduct(), options);
-      auto result = executor.Execute(**grouped, "out");
-      ASSERT_TRUE(result.ok()) << result.status();
-      results[i++] = *result;
-    }
-  }
-  for (int j = 1; j < 4; ++j) {
-    EXPECT_TRUE(fr::TablesEqual(*results[0], *results[j], 0.0)) << j;
+                        std::vector<std::string>{"x"}, sr);
+    EXPECT_TRUE(::mpfdb::exec::RunBatch(agg, "out").ok());
   }
 }
 

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <set>
 #include <vector>
 
@@ -48,12 +47,6 @@ TablePtr RandomTable(const std::string& name, std::vector<std::string> vars,
     t->AppendRow(row, unit_measures ? 1.0 : rng.UniformDouble(0.5, 2.0));
   }
   return t;
-}
-
-void SortCanonically(Table& table) {
-  std::vector<size_t> all(table.schema().arity());
-  std::iota(all.begin(), all.end(), 0);
-  table.SortByVariables(all);
 }
 
 // --- QueryContext protocol --------------------------------------------------
@@ -109,35 +102,37 @@ TEST(QueryContextTest, MemoryGuardReleasesOnDestruction) {
 // --- spill-based degradation ------------------------------------------------
 
 // Aggregation under a tiny budget spills and still returns a bit-identical
-// result, in both drive modes and both key representations.
+// result, with catalog-packed keys and with the catalog-free packing.
 TEST(GovernedExecTest, HashMarginalizeSpillIsBitIdentical) {
   Rng rng(42);
-  // Domain 40 > PackedKeyCodec threshold per var? Keep small so packed keys
-  // engage; duplicates across z force real aggregation.
+  // Small domains so the catalog codec engages; duplicates across z force
+  // real aggregation.
   TablePtr t = RandomTable("t", {"x", "y", "z"}, {8, 8, 24}, 600, rng);
-  for (bool vectorized : {false, true}) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterVariable("x", 8).ok());
+  ASSERT_TRUE(catalog.RegisterVariable("y", 8).ok());
+  ASSERT_TRUE(catalog.RegisterVariable("z", 24).ok());
+  for (const Catalog* cat :
+       {static_cast<const Catalog*>(&catalog), (const Catalog*)nullptr}) {
     // Golden: unconstrained.
     HashMarginalize golden_op(std::make_unique<SeqScan>(t), {"x", "y"},
-                              Semiring::SumProduct());
-    auto golden = vectorized ? ::mpfdb::exec::RunBatch(golden_op, "golden")
-                             : ::mpfdb::exec::Run(golden_op, "golden");
+                              Semiring::SumProduct(), cat);
+    auto golden = ::mpfdb::exec::RunBatch(golden_op, "golden");
     ASSERT_TRUE(golden.ok()) << golden.status();
 
     QueryContext ctx;
-    // Below even the packed-key footprint (the catalog-free 32-bit packing
-    // keeps the batch path at ~24 bytes per group), so both drive modes
-    // degrade to partitioned aggregation.
+    // Below even the packed-key footprint (~24 bytes per group), so both key
+    // representations degrade to partitioned aggregation.
     ctx.set_memory_limit(512);
     HashMarginalize gov_op(std::make_unique<SeqScan>(t), {"x", "y"},
-                           Semiring::SumProduct());
+                           Semiring::SumProduct(), cat);
     gov_op.BindContext(&ctx);
-    auto governed =
-        vectorized ? ::mpfdb::exec::RunBatch(gov_op, "governed", &ctx) : ::mpfdb::exec::Run(gov_op, "governed", &ctx);
+    auto governed = ::mpfdb::exec::RunBatch(gov_op, "governed", &ctx);
     ASSERT_TRUE(governed.ok()) << governed.status();
     EXPECT_GT(ctx.stats().spill_files, 0u) << "budget never triggered a spill";
     // Bit-identical: zero tolerance.
     EXPECT_TRUE(fr::TablesEqual(**golden, **governed, 0.0))
-        << (vectorized ? "batch" : "row");
+        << (cat != nullptr ? "catalog" : "no catalog");
     EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
   }
 }
@@ -163,36 +158,77 @@ TEST(GovernedExecTest, VectorKeyAggregationSpillIsBitIdentical) {
   EXPECT_TRUE(fr::TablesEqual(**golden, **governed, 0.0));
 }
 
-// Join under a tiny budget Grace-partitions both sides; after the canonical
-// sort the result set is bit-identical (each output row's measure is one
-// multiply in both modes).
+// Join under a tiny budget Grace-partitions both sides, then merges the
+// partition outputs back on the probe ordinal: the spilled join emits the
+// in-memory rows in the in-memory order, with packed and with vector keys.
 TEST(GovernedExecTest, HashProductJoinSpillMatchesUnconstrained) {
   Rng rng(11);
   TablePtr left = RandomTable("l", {"x", "y"}, {60, 16}, 500, rng);
   TablePtr right = RandomTable("r", {"y", "z"}, {16, 60}, 500, rng);
-  for (bool vectorized : {false, true}) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterVariable("x", 60).ok());
+  ASSERT_TRUE(catalog.RegisterVariable("y", 16).ok());
+  ASSERT_TRUE(catalog.RegisterVariable("z", 60).ok());
+  for (const Catalog* cat :
+       {static_cast<const Catalog*>(&catalog), (const Catalog*)nullptr}) {
     HashProductJoin golden_op(std::make_unique<SeqScan>(left),
                               std::make_unique<SeqScan>(right),
-                              Semiring::SumProduct());
-    auto golden = vectorized ? ::mpfdb::exec::RunBatch(golden_op, "golden")
-                             : ::mpfdb::exec::Run(golden_op, "golden");
+                              Semiring::SumProduct(), cat);
+    auto golden = ::mpfdb::exec::RunBatch(golden_op, "golden");
     ASSERT_TRUE(golden.ok()) << golden.status();
-    SortCanonically(**golden);
 
     QueryContext ctx;
     ctx.set_memory_limit(4096);
     HashProductJoin gov_op(std::make_unique<SeqScan>(left),
                            std::make_unique<SeqScan>(right),
-                           Semiring::SumProduct());
+                           Semiring::SumProduct(), cat);
     gov_op.BindContext(&ctx);
-    auto governed = vectorized ? ::mpfdb::exec::RunBatch(gov_op, "governed", &ctx)
-                               : ::mpfdb::exec::Run(gov_op, "governed", &ctx);
+    auto governed = ::mpfdb::exec::RunBatch(gov_op, "governed", &ctx);
     ASSERT_TRUE(governed.ok()) << governed.status();
     EXPECT_GT(ctx.stats().spill_files, 0u) << "budget never triggered a spill";
-    SortCanonically(**governed);
+    // No canonical sort: the row order itself must match.
     EXPECT_TRUE(fr::TablesEqual(**golden, **governed, 0.0))
-        << (vectorized ? "batch" : "row");
+        << (cat != nullptr ? "catalog" : "no catalog");
+    EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
   }
+}
+
+// A sum-product marginalize above a spilled join folds each group's terms in
+// join emission order. With random measures any reordering of those terms
+// shows at tolerance 0.0, so this pins the spilled join's emission to the
+// in-memory order (one thread, no pool).
+TEST(GovernedExecTest, SpilledJoinFeedsMarginalizeInArrivalOrder) {
+  Rng rng(2024);
+  const size_t rows = 12000;
+  const int64_t dom = 3000;
+  TablePtr a = RandomTable("a", {"x", "y"}, {dom, dom}, rows, rng);
+  TablePtr b = RandomTable("b", {"y", "z"}, {dom, dom}, rows, rng);
+  Catalog catalog;
+  for (const char* v : {"x", "y", "z"}) {
+    ASSERT_TRUE(catalog.RegisterVariable(v, dom).ok());
+  }
+  auto make_tree = [&]() {
+    return std::make_unique<HashMarginalize>(
+        std::make_unique<HashProductJoin>(std::make_unique<SeqScan>(a),
+                                          std::make_unique<SeqScan>(b),
+                                          Semiring::SumProduct(), &catalog),
+        std::vector<std::string>{"x"}, Semiring::SumProduct(), &catalog);
+  };
+  auto golden_op = make_tree();
+  auto golden = ::mpfdb::exec::RunBatch(*golden_op, "golden");
+  ASSERT_TRUE(golden.ok()) << golden.status();
+
+  QueryContext ctx;
+  ctx.set_memory_limit(2 * 1024);
+  ctx.set_spill_enabled(true);
+  auto gov_op = make_tree();
+  gov_op->BindContext(&ctx);
+  auto governed = ::mpfdb::exec::RunBatch(*gov_op, "governed", &ctx);
+  ASSERT_TRUE(governed.ok()) << governed.status();
+  EXPECT_GT(ctx.stats().spill_files, 0u) << "budget never triggered a spill";
+  EXPECT_GT((*golden)->NumRows(), 1000u);
+  EXPECT_TRUE(fr::TablesEqual(**golden, **governed, 0.0));
+  EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
 }
 
 // A join feeding an aggregation, all under budget: both operators degrade
@@ -255,7 +291,7 @@ TEST(GovernedExecTest, SortMergeJoinHonorsBudgetWithoutSpill) {
                           std::make_unique<SeqScan>(right),
                           Semiring::SumProduct());
   op.BindContext(&ctx);
-  auto result = ::mpfdb::exec::Run(op, "out", &ctx);
+  auto result = ::mpfdb::exec::RunBatch(op, "out", &ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(result.status().message().find("SortMergeProductJoin"),
@@ -274,11 +310,6 @@ class CancelAfterN : public PhysicalOperator {
       : child_(std::move(child)), target_(target), n_(n) {}
 
   Status Open() override { return child_->Open(); }
-  StatusOr<bool> Next(Row* row) override {
-    MPFDB_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-    if (has && ++pulled_ >= n_) target_->RequestCancel();
-    return has;
-  }
   StatusOr<bool> NextBatch(RowBatch* batch) override {
     MPFDB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
     if (has) {
@@ -310,43 +341,36 @@ class CancelAfterN : public PhysicalOperator {
 TEST(GovernedExecTest, CancellationStopsWithinOneBatchAndFreesMemory) {
   Rng rng(3);
   TablePtr t = RandomTable("t", {"x", "y"}, {200, 100}, 8000, rng);
-  for (bool vectorized : {false, true}) {
-    QueryContext ctx;
-    constexpr size_t kCancelAt = 2000;
-    auto wrapper = std::make_unique<CancelAfterN>(std::make_unique<SeqScan>(t),
-                                                  &ctx, kCancelAt);
-    CancelAfterN* counter = wrapper.get();
-    HashMarginalize op(std::move(wrapper), {"x"}, Semiring::SumProduct());
-    op.BindContext(&ctx);
-    auto result =
-        vectorized ? ::mpfdb::exec::RunBatch(op, "out", &ctx) : ::mpfdb::exec::Run(op, "out", &ctx);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
-        << result.status();
-    // The scan polls the context every row (batch: every batch), so at most
-    // one more batch of rows is pulled after the cancel fires.
-    EXPECT_LE(counter->pulled(), kCancelAt + kBatchSize);
-    EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
-  }
+  QueryContext ctx;
+  constexpr size_t kCancelAt = 2000;
+  auto wrapper = std::make_unique<CancelAfterN>(std::make_unique<SeqScan>(t),
+                                                &ctx, kCancelAt);
+  CancelAfterN* counter = wrapper.get();
+  HashMarginalize op(std::move(wrapper), {"x"}, Semiring::SumProduct());
+  op.BindContext(&ctx);
+  auto result = ::mpfdb::exec::RunBatch(op, "out", &ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << result.status();
+  // The scan polls the context every batch, so at most one more batch of
+  // rows is pulled after the cancel fires.
+  EXPECT_LE(counter->pulled(), kCancelAt + kBatchSize);
+  EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
 }
 
 // An already-expired deadline surfaces as kDeadlineExceeded, also mid-drain.
 TEST(GovernedExecTest, ExpiredDeadlineCancelsExecution) {
   Rng rng(13);
   TablePtr t = RandomTable("t", {"x", "y"}, {200, 100}, 6000, rng);
-  for (bool vectorized : {false, true}) {
-    QueryContext ctx;
-    ctx.set_deadline_after(std::chrono::nanoseconds(0));
-    HashMarginalize op(std::make_unique<SeqScan>(t), {"x"},
-                       Semiring::SumProduct());
-    op.BindContext(&ctx);
-    auto result =
-        vectorized ? ::mpfdb::exec::RunBatch(op, "out", &ctx) : ::mpfdb::exec::Run(op, "out", &ctx);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
-        << result.status();
-    EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
-  }
+  QueryContext ctx;
+  ctx.set_deadline_after(std::chrono::nanoseconds(0));
+  HashMarginalize op(std::make_unique<SeqScan>(t), {"x"},
+                     Semiring::SumProduct());
+  op.BindContext(&ctx);
+  auto result = ::mpfdb::exec::RunBatch(op, "out", &ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status();
+  EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
 }
 
 // --- end-to-end through Database / VeCache ----------------------------------

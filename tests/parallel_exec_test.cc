@@ -3,8 +3,9 @@
 // random schemas and random optimizer plans, every combination of
 //
 //   num_threads in {1, 2, 4, 8}
-//     x drive mode in {row-at-a-time, batch, batch + packed keys, and
-//       batch with kAuto physical planning (cost-chosen operators)}
+//     x drive mode in {forced hash on vector keys, forced hash on packed
+//       keys, and kAuto physical planning (cost-chosen operators) with and
+//       without MPH costing}
 //     x spill {off, on (tiny budget forcing Grace spills)}
 //
 // must reproduce the forced-hash serial golden answer bit for bit
@@ -77,19 +78,13 @@ struct DriveMode {
 };
 
 const DriveMode kDriveModes[] = {
-    {"row",
-     {.join = exec::JoinAlgorithm::kHash,
-      .agg = exec::AggAlgorithm::kHash,
-      .vectorized = false}},
     {"batch",
      {.join = exec::JoinAlgorithm::kHash,
       .agg = exec::AggAlgorithm::kHash,
-      .vectorized = true,
       .packed_keys = false}},
     {"batch+packed",
      {.join = exec::JoinAlgorithm::kHash,
       .agg = exec::AggAlgorithm::kHash,
-      .vectorized = true,
       .packed_keys = true}},
     // kAuto: the physical planner picks per-node algorithms (sort-merge
     // joins / sort marginalize where admissible and cheaper). Must still
@@ -97,34 +92,12 @@ const DriveMode kDriveModes[] = {
     {"auto",
      {.join = exec::JoinAlgorithm::kAuto,
       .agg = exec::AggAlgorithm::kAuto,
-      .vectorized = true,
       .packed_keys = true}},
-    // hash_impl = kStd re-runs the three hash drive modes on the legacy
-    // chaining tables: the Swiss-table golden and the std runs must agree
-    // bit for bit across the whole (threads, spill) matrix.
-    {"row/std",
-     {.join = exec::JoinAlgorithm::kHash,
-      .agg = exec::AggAlgorithm::kHash,
-      .vectorized = false,
-      .hash_impl = exec::HashImpl::kStd}},
-    {"batch/std",
-     {.join = exec::JoinAlgorithm::kHash,
-      .agg = exec::AggAlgorithm::kHash,
-      .vectorized = true,
-      .packed_keys = false,
-      .hash_impl = exec::HashImpl::kStd}},
-    {"batch+packed/std",
-     {.join = exec::JoinAlgorithm::kHash,
-      .agg = exec::AggAlgorithm::kHash,
-      .vectorized = true,
-      .packed_keys = true,
-      .hash_impl = exec::HashImpl::kStd}},
     // MPH costing off: the planner prices every index generically, which may
     // legally change access-path choices — never result bits.
     {"auto/nomph",
      {.join = exec::JoinAlgorithm::kAuto,
       .agg = exec::AggAlgorithm::kAuto,
-      .vectorized = true,
       .packed_keys = true,
       .mph_indexes = false}},
 };
@@ -164,14 +137,12 @@ TEST_P(ParallelDifferentialTest, BitIdenticalAcrossThreadsModesAndSpill) {
           (*optimizer)->Optimize(rv.view, query, rv.catalog, cost_model);
       ASSERT_TRUE(plan.ok()) << spec << ": " << plan.status();
 
-      // Serial golden: forced-hash, batch + packed keys, no context, no
-      // pool. Forcing hash pins the baseline the auto drive mode must
+      // Serial golden: forced-hash, packed keys, no context, no pool. Forcing hash pins the baseline the auto drive mode must
       // reproduce bit for bit.
       exec::Executor golden_exec(
           rv.catalog, rv.view.semiring,
           exec::ExecOptions{.join = exec::JoinAlgorithm::kHash,
                             .agg = exec::AggAlgorithm::kHash,
-                            .vectorized = true,
                             .packed_keys = true});
       auto golden = golden_exec.Execute(**plan, "golden");
       ASSERT_TRUE(golden.ok()) << spec << ": " << golden.status();
@@ -365,7 +336,6 @@ TEST(DatabaseParallelTest, ThreadCountNeverChangesAnswers) {
     TablePtr reference;
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       exec::ExecOptions options;
-      options.vectorized = true;
       options.packed_keys = true;
       options.num_threads = threads;
       db.set_exec_options(options);

@@ -2,9 +2,9 @@
 // planner chooses must be bit-identical (tolerance 0.0) to the forced-hash
 // baseline — across random views and plans, FP-sensitive and idempotent
 // semirings, thread counts, and spill. Plus the operator-level guarantees
-// the planner relies on: the sort operators' native batch path replays
-// their row path exactly, and a presorted-skip (stable sort of already
-// sorted input is the identity) changes nothing. Seeds shift with
+// the planner relies on: the sort operators emit exactly what the hash
+// operators emit for the same input, and a presorted-skip (stable sort of
+// already sorted input is the identity) changes nothing. Seeds shift with
 // MPFDB_TEST_SEED like every property test.
 
 #include <algorithm>
@@ -75,7 +75,6 @@ TablePtr SortedRandomTable(const std::string& name,
 exec::ExecOptions ForcedHash() {
   return exec::ExecOptions{.join = exec::JoinAlgorithm::kHash,
                            .agg = exec::AggAlgorithm::kHash,
-                           .vectorized = true,
                            .packed_keys = true};
 }
 
@@ -202,11 +201,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PhysicalExecDifferentialTest,
 
 // The random views above hold a few dozen rows, so they now run inline at
 // every thread count. This sweep repeats their semiring x optimizer x
-// threads matrix on a chain whose input spans several morsels, so the
-// 4-thread runs really go through the pool. A domain of rows/4 keeps the
-// join fan-out near 4 per key. Spill stays with the sweeps above: at this
-// size a spilled plan's sum-product answer is 1 ULP off the in-memory one
-// in a third of the groups, even on one thread.
+// threads x spill matrix on a chain whose input spans several morsels, so
+// the 4-thread runs really go through the pool, and the spilled joins emit
+// thousands of rows into a sum-product fold that shows any reordering. A
+// domain of rows/4 keeps the join fan-out near 4 per key.
 TEST(PhysicalExecTest, ThreadSweepAboveOneMorselMatchesForcedHash) {
   const uint64_t seed = CaseSeed(5);
   MPFDB_TRACE_SEED(seed);
@@ -248,16 +246,29 @@ TEST(PhysicalExecTest, ThreadSweepAboveOneMorselMatchesForcedHash) {
       exec::Executor auto_exec(catalog, semiring, exec::ExecOptions{});
       for (size_t threads : {1u, 4u}) {
         exec::ThreadPool pool(threads);
-        QueryContext ctx;
-        ctx.set_thread_pool(&pool);
-        auto result = auto_exec.Execute(**plan, "out", &ctx);
-        std::string where = std::string(semiring.name()) + "/" + spec +
-                            "/threads=" + std::to_string(threads);
-        ASSERT_TRUE(result.ok()) << where << ": " << result.status();
-        EXPECT_TRUE(fr::TablesEqual(**golden, **result, /*tolerance=*/0.0))
-            << where;
-        EXPECT_EQ(ctx.stats().bytes_in_use, 0u) << where;
-        if (threads > 1) EXPECT_GT(pool.dispatched_jobs(), 0u) << where;
+        for (bool spill : {false, true}) {
+          QueryContext ctx;
+          ctx.set_thread_pool(&pool);
+          if (spill) {
+            ctx.set_memory_limit(2 * 1024);
+            ctx.set_spill_enabled(true);
+            ctx.set_spill_dir(::testing::TempDir());
+          }
+          const uint64_t jobs_before = pool.dispatched_jobs();
+          auto result = auto_exec.Execute(**plan, "out", &ctx);
+          std::string where = std::string(semiring.name()) + "/" + spec +
+                              "/threads=" + std::to_string(threads) +
+                              (spill ? "/spill" : "/mem");
+          ASSERT_TRUE(result.ok()) << where << ": " << result.status();
+          EXPECT_TRUE(fr::TablesEqual(**golden, **result, /*tolerance=*/0.0))
+              << where;
+          EXPECT_EQ(ctx.stats().bytes_in_use, 0u) << where;
+          if (spill) {
+            EXPECT_GT(ctx.stats().spill_files, 0u) << where;
+          } else if (threads > 1) {
+            EXPECT_GT(pool.dispatched_jobs(), jobs_before) << where;
+          }
+        }
       }
     }
   }
@@ -333,9 +344,12 @@ TEST(PhysicalExecTest, MixedPlanBitIdenticalToForcedHash) {
   EXPECT_GT((*mixed)->NumRows(), 0u);
 }
 
-// Native batch drains of the sort operators replay the row path exactly,
-// including emission order (no canonical re-sort before comparing).
-TEST(PhysicalExecTest, SortOperatorBatchPathReplaysRowPath) {
+// The sort operators against the hash operators on the same input. Every
+// join output row's measure is one multiply, so the join outputs agree bit
+// for bit once both are sorted canonically. Sort marginalize folds each
+// group in arrival order and emits groups sorted, exactly like hash
+// marginalize, so the marginalize outputs agree in emission order.
+TEST(PhysicalExecTest, SortOperatorsMatchHashOperators) {
   const uint64_t seed = CaseSeed(7);
   MPFDB_TRACE_SEED(seed);
   Rng rng(seed * 31);
@@ -343,36 +357,38 @@ TEST(PhysicalExecTest, SortOperatorBatchPathReplaysRowPath) {
   TablePtr r = RandomTable("r", {"y", "z"}, {20, 50}, 700, rng);
 
   {
-    exec::SortMergeProductJoin row_op(std::make_unique<exec::SeqScan>(l),
-                                      std::make_unique<exec::SeqScan>(r),
-                                      Semiring::SumProduct());
-    exec::SortMergeProductJoin batch_op(std::make_unique<exec::SeqScan>(l),
+    exec::SortMergeProductJoin merge_op(std::make_unique<exec::SeqScan>(l),
                                         std::make_unique<exec::SeqScan>(r),
                                         Semiring::SumProduct());
-    auto rows = exec::Run(row_op, "rows");
-    auto batches = exec::RunBatch(batch_op, "batches");
-    ASSERT_TRUE(rows.ok()) << rows.status();
-    ASSERT_TRUE(batches.ok()) << batches.status();
-    EXPECT_TRUE(fr::TablesEqual(**rows, **batches, /*tolerance=*/0.0));
+    exec::HashProductJoin hash_op(std::make_unique<exec::SeqScan>(l),
+                                  std::make_unique<exec::SeqScan>(r),
+                                  Semiring::SumProduct());
+    auto merged = exec::RunBatch(merge_op, "merged");
+    auto hashed = exec::RunBatch(hash_op, "hashed");
+    ASSERT_TRUE(merged.ok()) << merged.status();
+    ASSERT_TRUE(hashed.ok()) << hashed.status();
+    (*hashed)->SortByVariables({0, 1, 2});
+    (*merged)->SortByVariables({0, 1, 2});
+    EXPECT_TRUE(fr::TablesEqual(**hashed, **merged, /*tolerance=*/0.0));
   }
   {
-    exec::SortMarginalize row_op(std::make_unique<exec::SeqScan>(l),
-                                 std::vector<std::string>{"y"},
-                                 Semiring::SumProduct());
-    exec::SortMarginalize batch_op(std::make_unique<exec::SeqScan>(l),
-                                   std::vector<std::string>{"y"},
-                                   Semiring::SumProduct());
-    auto rows = exec::Run(row_op, "rows");
-    auto batches = exec::RunBatch(batch_op, "batches");
-    ASSERT_TRUE(rows.ok()) << rows.status();
-    ASSERT_TRUE(batches.ok()) << batches.status();
-    EXPECT_TRUE(fr::TablesEqual(**rows, **batches, /*tolerance=*/0.0));
+    exec::SortMarginalize sort_op(std::make_unique<exec::SeqScan>(l),
+                                  std::vector<std::string>{"y"},
+                                  Semiring::SumProduct());
+    exec::HashMarginalize hash_op(std::make_unique<exec::SeqScan>(l),
+                                  std::vector<std::string>{"y"},
+                                  Semiring::SumProduct());
+    auto sorted = exec::RunBatch(sort_op, "sorted");
+    auto hashed = exec::RunBatch(hash_op, "hashed");
+    ASSERT_TRUE(sorted.ok()) << sorted.status();
+    ASSERT_TRUE(hashed.ok()) << hashed.status();
+    EXPECT_TRUE(fr::TablesEqual(**hashed, **sorted, /*tolerance=*/0.0));
   }
 }
 
 // Interesting-order reuse at the operator level: on genuinely presorted
 // input, skipping the sort (a stable sort of sorted input is the identity)
-// is bit-identical to sorting again — in both row and batch modes.
+// is bit-identical to sorting again.
 TEST(PhysicalExecTest, PresortedSkipIsBitIdentical) {
   const uint64_t seed = CaseSeed(11);
   MPFDB_TRACE_SEED(seed);
@@ -381,40 +397,32 @@ TEST(PhysicalExecTest, PresortedSkipIsBitIdentical) {
   TablePtr l = SortedRandomTable("l", {"y", "x"}, {20, 50}, 800, 1, rng);
   TablePtr r = SortedRandomTable("r", {"y", "z"}, {20, 50}, 800, 1, rng);
 
-  for (bool batch_mode : {false, true}) {
-    exec::SortMergeProductJoin sorting(std::make_unique<exec::SeqScan>(l),
-                                       std::make_unique<exec::SeqScan>(r),
-                                       Semiring::SumProduct());
-    exec::SortMergeProductJoin skipping(std::make_unique<exec::SeqScan>(l),
-                                        std::make_unique<exec::SeqScan>(r),
-                                        Semiring::SumProduct(),
-                                        /*left_presorted=*/true,
-                                        /*right_presorted=*/true);
-    auto a = batch_mode ? exec::RunBatch(sorting, "a")
-                        : exec::Run(sorting, "a");
-    auto b = batch_mode ? exec::RunBatch(skipping, "b")
-                        : exec::Run(skipping, "b");
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_TRUE(fr::TablesEqual(**a, **b, /*tolerance=*/0.0))
-        << (batch_mode ? "batch" : "row");
+  exec::SortMergeProductJoin sorting(std::make_unique<exec::SeqScan>(l),
+                                     std::make_unique<exec::SeqScan>(r),
+                                     Semiring::SumProduct());
+  exec::SortMergeProductJoin skipping(std::make_unique<exec::SeqScan>(l),
+                                      std::make_unique<exec::SeqScan>(r),
+                                      Semiring::SumProduct(),
+                                      /*left_presorted=*/true,
+                                      /*right_presorted=*/true);
+  auto a = exec::RunBatch(sorting, "a");
+  auto b = exec::RunBatch(skipping, "b");
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_TRUE(fr::TablesEqual(**a, **b, /*tolerance=*/0.0));
 
-    exec::SortMarginalize agg_sorting(std::make_unique<exec::SeqScan>(l),
-                                      std::vector<std::string>{"y"},
-                                      Semiring::SumProduct());
-    exec::SortMarginalize agg_skipping(std::make_unique<exec::SeqScan>(l),
-                                       std::vector<std::string>{"y"},
-                                       Semiring::SumProduct(),
-                                       /*input_presorted=*/true);
-    auto c = batch_mode ? exec::RunBatch(agg_sorting, "c")
-                        : exec::Run(agg_sorting, "c");
-    auto d = batch_mode ? exec::RunBatch(agg_skipping, "d")
-                        : exec::Run(agg_skipping, "d");
-    ASSERT_TRUE(c.ok()) << c.status();
-    ASSERT_TRUE(d.ok()) << d.status();
-    EXPECT_TRUE(fr::TablesEqual(**c, **d, /*tolerance=*/0.0))
-        << (batch_mode ? "batch" : "row");
-  }
+  exec::SortMarginalize agg_sorting(std::make_unique<exec::SeqScan>(l),
+                                    std::vector<std::string>{"y"},
+                                    Semiring::SumProduct());
+  exec::SortMarginalize agg_skipping(std::make_unique<exec::SeqScan>(l),
+                                     std::vector<std::string>{"y"},
+                                     Semiring::SumProduct(),
+                                     /*input_presorted=*/true);
+  auto c = exec::RunBatch(agg_sorting, "c");
+  auto d = exec::RunBatch(agg_skipping, "d");
+  ASSERT_TRUE(c.ok()) << c.status();
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_TRUE(fr::TablesEqual(**c, **d, /*tolerance=*/0.0));
 }
 
 // The runtime stats spine: ExecuteAnalyze returns the same table as

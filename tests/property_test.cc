@@ -11,9 +11,11 @@
 
 #include "core/database.h"
 #include "exec/executor.h"
+#include "exec/thread_pool.h"
 #include "fr/algebra.h"
 #include "graph/junction_tree.h"
 #include "random_view.h"
+#include "util/query_context.h"
 #include "util/rng.h"
 #include "workload/bp.h"
 #include "workload/vecache.h"
@@ -69,10 +71,13 @@ TEST_P(RandomSchemaTest, AllOptimizersAgreeWithNaive) {
   }
 }
 
-// The vectorized engine is an execution-mode choice, not a semantics choice:
-// over random schemas, random optimizer plans, and the counting, probability,
-// and max-product semirings, batch execution (with and without packed keys)
-// must reproduce the row-at-a-time output bit for bit.
+// How the batch engine runs a plan is not a semantics choice: over random
+// schemas, random optimizer plans, and the counting, probability, and
+// max-product semirings, every configuration — packed or vector keys, 1 or
+// 4 threads, spill off or on, cost-chosen or forced-hash operators — must
+// agree bit for bit. The row-at-a-time reference is fr::EvaluateNaiveMpf,
+// the tuple-at-a-time algebra evaluator, matched exactly where the measures
+// are integers (counting) and within 1e-9 otherwise.
 TEST_P(RandomSchemaTest, VectorizedExecutionMatchesRowAtATime) {
   struct Variant {
     const char* label;
@@ -107,6 +112,15 @@ TEST_P(RandomSchemaTest, VectorizedExecutionMatchesRowAtATime) {
                          0, *rv.catalog.DomainSize(sel_var) - 1))});
       }
     }
+    std::vector<fr::Selection> selections;
+    for (const auto& s : query.selections) {
+      selections.push_back({s.var, s.value});
+    }
+    auto naive = fr::EvaluateNaiveMpf(rv.tables, query.group_vars, selections,
+                                      rv.view.semiring, "naive");
+    ASSERT_TRUE(naive.ok()) << naive.status();
+    const double naive_tolerance = variant.unit_measures ? 0.0 : 1e-9;
+
     for (const std::string spec : {"cs+", "ve(width)", "ve(random)"}) {
       auto optimizer = MakeOptimizer(spec, seed);
       ASSERT_TRUE(optimizer.ok());
@@ -114,22 +128,47 @@ TEST_P(RandomSchemaTest, VectorizedExecutionMatchesRowAtATime) {
           (*optimizer)->Optimize(rv.view, query, rv.catalog, cost_model);
       ASSERT_TRUE(plan.ok()) << spec << ": " << plan.status();
 
-      const exec::ExecOptions configs[] = {
-          {.vectorized = false},
-          {.vectorized = true, .packed_keys = false},
-          {.vectorized = true, .packed_keys = true},
-      };
       TablePtr reference;
-      for (const exec::ExecOptions& options : configs) {
-        exec::Executor executor(rv.catalog, rv.view.semiring, options);
-        auto result = executor.Execute(**plan, "out");
-        ASSERT_TRUE(result.ok()) << variant.label << "/" << spec;
-        if (reference == nullptr) {
-          reference = *result;
-        } else {
-          EXPECT_TRUE(fr::TablesEqual(*reference, **result, /*tolerance=*/0.0))
-              << variant.label << "/" << spec << "\n"
-              << ExplainPlan(**plan);
+      for (bool forced : {false, true}) {
+        for (bool packed : {false, true}) {
+          exec::ExecOptions options;
+          if (forced) {
+            options.join = exec::JoinAlgorithm::kHash;
+            options.agg = exec::AggAlgorithm::kHash;
+          }
+          options.packed_keys = packed;
+          exec::Executor executor(rv.catalog, rv.view.semiring, options);
+          for (size_t threads : {1u, 4u}) {
+            exec::ThreadPool pool(threads);
+            for (bool spill : {false, true}) {
+              QueryContext ctx;
+              ctx.set_thread_pool(&pool);
+              if (spill) {
+                ctx.set_memory_limit(2 * 1024);
+                ctx.set_spill_enabled(true);
+              }
+              auto result = executor.Execute(**plan, "out", &ctx);
+              const std::string where =
+                  std::string(variant.label) + "/" + spec +
+                  (forced ? "/hash" : "/auto") +
+                  (packed ? "/packed" : "/vector") +
+                  "/threads=" + std::to_string(threads) +
+                  (spill ? "/spill" : "/mem");
+              ASSERT_TRUE(result.ok()) << where << ": " << result.status();
+              if (reference == nullptr) {
+                reference = *result;
+                EXPECT_TRUE(
+                    fr::TablesEqual(**naive, *reference, naive_tolerance))
+                    << where << "\n"
+                    << ExplainPlan(**plan);
+              } else {
+                EXPECT_TRUE(
+                    fr::TablesEqual(*reference, **result, /*tolerance=*/0.0))
+                    << where << "\n"
+                    << ExplainPlan(**plan);
+              }
+            }
+          }
         }
       }
     }
