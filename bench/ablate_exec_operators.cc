@@ -7,10 +7,10 @@
 //
 //  1. A hand-rolled execution-mode ablation: the hash-join + hash-marginalize
 //     pipeline (and each operator alone) driven batch-at-a-time on vector
-//     keys, and on packed 64-bit keys with dense perfect-index join heads.
-//     This quantifies what key packing buys and backs the cost model's CPU
-//     charges, with raw hash_table/* and mph_probe/* sections isolating the
-//     table structures themselves (Swiss against std::unordered_map).
+//     keys, and on packed 64-bit keys with dense join heads. This quantifies
+//     what key packing buys and backs the cost model's CPU charges, with a
+//     raw hash_table/* section isolating the table structure itself (Swiss
+//     against std::unordered_map).
 //  2. A physical-planner demo: a three-relation chain where the cost-based
 //     planner mixes join algorithms within one query (hash inner join,
 //     sort-merge top join) and the sort-merge output order lets the final
@@ -119,9 +119,9 @@ size_t Drain(PhysicalOperator& op) {
   return rows;
 }
 
-// `batch` hashes vector keys; `batch_packed_swiss` (`packed`) packs the keys
-// into 64 bits and gives the join dense perfect-index heads, and carries the
-// headline throughput.
+// `batch` hashes vector keys (no catalog); `batch_packed_swiss` (`packed`)
+// packs the keys into 64 bits, which gives the join dense heads on small key
+// universes, and carries the headline throughput.
 struct Mode {
   const char* name;
   bool packed;
@@ -146,7 +146,7 @@ ModeResult Measure(const MakeTree& make_tree, const Catalog* catalog,
                    const Mode& mode, int reps = 3, bool governed = false) {
   ModeResult best;
   for (int rep = 0; rep < reps; ++rep) {
-    OperatorPtr root = make_tree(mode.packed ? catalog : nullptr, mode.packed);
+    OperatorPtr root = make_tree(mode.packed ? catalog : nullptr);
     QueryContext ctx;
     if (governed) root->BindContext(&ctx);
     auto start = bench::Clock::now();
@@ -192,10 +192,10 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterVariable("x", rows));
     Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
     Check(catalog.RegisterVariable("z", rows));
-    auto make_tree = [&](const Catalog* cat, bool mph) -> OperatorPtr {
+    auto make_tree = [&](const Catalog* cat) -> OperatorPtr {
       auto join = std::make_unique<HashProductJoin>(
           std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b), semiring,
-          cat, mph);
+          cat);
       return std::make_unique<HashMarginalize>(
           std::move(join), std::vector<std::string>{"y"}, semiring, cat);
     };
@@ -210,10 +210,10 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterVariable("x", rows));
     Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
     Check(catalog.RegisterVariable("z", rows));
-    auto make_tree = [&](const Catalog* cat, bool mph) -> OperatorPtr {
+    auto make_tree = [&](const Catalog* cat) -> OperatorPtr {
       return std::make_unique<HashProductJoin>(std::make_unique<SeqScan>(a),
                                                std::make_unique<SeqScan>(b),
-                                               semiring, cat, mph);
+                                               semiring, cat);
     };
     AblateModes("hash_join", 2 * rows, make_tree, catalog, &json);
   }
@@ -225,7 +225,7 @@ int RunModeAblation(const std::string& json_path,
     Catalog catalog;
     Check(catalog.RegisterVariable("g", std::max<int64_t>(4, rows / 64)));
     Check(catalog.RegisterVariable("u", rows));
-    auto make_tree = [&](const Catalog* cat, bool /*mph*/) -> OperatorPtr {
+    auto make_tree = [&](const Catalog* cat) -> OperatorPtr {
       return std::make_unique<HashMarginalize>(std::make_unique<SeqScan>(t),
                                                std::vector<std::string>{"g"},
                                                semiring, cat);
@@ -336,86 +336,6 @@ int RunModeAblation(const std::string& json_path,
     }
   }
 
-  // Minimal-perfect-hash probe: distinct keys built once (the epoch-commit
-  // pattern behind the VE-cache base-row index), then probed repeatedly.
-  // Build throughput is recorded alongside probe speed against both generic
-  // tables; every probe hits, matching the maintenance-path access mix.
-  {
-    const size_t n = 1 << 18;
-    std::vector<uint64_t> keys(n);
-    for (size_t i = 0; i < n; ++i) {
-      keys[i] = static_cast<uint64_t>(i) * 0x9e3779b97f4a7c15ull + 7;
-    }
-
-    PerfectHashIndex mph;
-    auto start = bench::Clock::now();
-    if (!PerfectHashIndex::Build(keys, /*epoch=*/1, &mph)) {
-      std::fprintf(stderr, "mph_probe: perfect-hash build failed\n");
-      std::abort();
-    }
-    double build_secs = bench::MsSince(start) / 1e3;
-
-    std::unordered_map<uint64_t, size_t> std_map;
-    std_map.reserve(n);
-    SwissTable<size_t> swiss_map;
-    swiss_map.Reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      std_map.emplace(keys[i], i);
-      swiss_map.FindOrInsert(keys[i], i);
-    }
-
-    auto best_of = [&](auto&& fn) {
-      double best = 0;
-      for (int rep = 0; rep < 5; ++rep) {
-        auto t0 = bench::Clock::now();
-        fn();
-        double secs = bench::MsSince(t0) / 1e3;
-        if (rep == 0 || secs < best) best = secs;
-      }
-      return best;
-    };
-    double probe_std = best_of([&] {
-      size_t sum = 0;
-      for (uint64_t k : keys) sum += std_map.find(k)->second;
-      benchmark::DoNotOptimize(sum);
-    });
-    double probe_swiss = best_of([&] {
-      size_t sum = 0;
-      for (uint64_t k : keys) sum += *swiss_map.Find(k);
-      benchmark::DoNotOptimize(sum);
-    });
-    double probe_mph = best_of([&] {
-      size_t sum = 0;
-      for (uint64_t k : keys) sum += mph.Lookup(k, /*epoch=*/1);
-      benchmark::DoNotOptimize(sum);
-    });
-
-    std::printf(
-        "mph_probe (%zu keys): build %8.1f ms (%.1f B/key)   std %12.3e "
-        "ops/s   swiss %12.3e ops/s   mph %12.3e ops/s\n",
-        n, build_secs * 1e3, mph.BytesPerKey(),
-        static_cast<double>(n) / probe_std, static_cast<double>(n) / probe_swiss,
-        static_cast<double>(n) / probe_mph);
-    json.Add("mph_probe/build", {{"keys", double(n)},
-                                 {"seconds", build_secs},
-                                 {"keys_per_sec", double(n) / build_secs},
-                                 {"bytes_per_key", mph.BytesPerKey()}});
-    json.Add("mph_probe/probe_std",
-             {{"keys", double(n)},
-              {"seconds", probe_std},
-              {"ops_per_sec", double(n) / probe_std}});
-    json.Add("mph_probe/probe_swiss",
-             {{"keys", double(n)},
-              {"seconds", probe_swiss},
-              {"ops_per_sec", double(n) / probe_swiss},
-              {"speedup_vs_std", probe_std / probe_swiss}});
-    json.Add("mph_probe/probe_mph",
-             {{"keys", double(n)},
-              {"seconds", probe_mph},
-              {"ops_per_sec", double(n) / probe_mph},
-              {"speedup_vs_std", probe_std / probe_mph}});
-  }
-
   // Resource-governor overhead: the headline pipeline re-run with a bound
   // QueryContext (memory accounting + cancellation/deadline polling, no
   // limits). The acceptance bar is <= 5% over the ungoverned run per mode.
@@ -426,10 +346,10 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterVariable("x", rows));
     Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
     Check(catalog.RegisterVariable("z", rows));
-    auto make_tree = [&](const Catalog* cat, bool mph) -> OperatorPtr {
+    auto make_tree = [&](const Catalog* cat) -> OperatorPtr {
       auto join = std::make_unique<HashProductJoin>(
           std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b), semiring,
-          cat, mph);
+          cat);
       return std::make_unique<HashMarginalize>(
           std::move(join), std::vector<std::string>{"y"}, semiring, cat);
     };
@@ -468,10 +388,10 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterVariable("x", rows));
     Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
     Check(catalog.RegisterVariable("z", rows));
-    auto make_tree = [&](const Catalog* cat, bool mph) -> OperatorPtr {
+    auto make_tree = [&](const Catalog* cat) -> OperatorPtr {
       auto join = std::make_unique<HashProductJoin>(
           std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b), semiring,
-          cat, mph);
+          cat);
       return std::make_unique<HashMarginalize>(
           std::move(join), std::vector<std::string>{"y"}, semiring, cat);
     };
@@ -483,7 +403,7 @@ int RunModeAblation(const std::string& json_path,
       ThreadPool pool(threads);
       // Parity check for this worker count.
       {
-        OperatorPtr root = make_tree(&catalog, true);
+        OperatorPtr root = make_tree(&catalog);
         QueryContext ctx;
         ctx.set_thread_pool(&pool);
         root->BindContext(&ctx);
@@ -504,7 +424,7 @@ int RunModeAblation(const std::string& json_path,
       }
       ModeResult best;
       for (int rep = 0; rep < 3; ++rep) {
-        OperatorPtr root = make_tree(&catalog, true);
+        OperatorPtr root = make_tree(&catalog);
         QueryContext ctx;
         ctx.set_thread_pool(&pool);
         root->BindContext(&ctx);
@@ -863,8 +783,7 @@ int RunModeAblation(const std::string& json_path,
     exec::Executor hash_exec(
         catalog, schema->view.semiring,
         exec::ExecOptions{.join = exec::JoinAlgorithm::kHash,
-                          .agg = exec::AggAlgorithm::kHash,
-                          .packed_keys = true});
+                          .agg = exec::AggAlgorithm::kHash});
     auto time_plan = [&](const exec::Executor& executor, const PlanNode& plan) {
       double best = 0;
       TablePtr out;

@@ -32,7 +32,6 @@ GATED = [
     ("hash_marginalize/batch", "ops_per_sec", "higher"),
     ("hash_table/probe_swiss", "ops_per_sec", "higher"),
     ("hash_table/fold_swiss", "ops_per_sec", "higher"),
-    ("mph_probe/probe_mph", "ops_per_sec", "higher"),
     ("physical_planner/mixed_plan", "speedup_vs_forced_hash", "higher"),
     ("physical_planner/order_reuse", "speedup_from_skip", "higher"),
     ("faq_planner/triangle", "speedup_vs_pairwise", "higher"),

@@ -3,16 +3,14 @@
 
 // Purpose-built execution hash layer (ROADMAP open item 2).
 //
-// Three structures share one design:
+// Two structures share one design:
 //
-//  * SwissTable<V>       — packed 64-bit keys -> V (the hot join/agg path).
+//  * SwissTable<V>       — packed 64-bit keys -> V (the hot join/agg path,
+//                          catalog indexes, VE-cache base-row locators).
 //  * SwissBytesTable<V>  — arbitrary byte-string keys -> V (vector-key
 //                          fallback, fr-algebra clique maps, plan cache).
-//  * PerfectHashIndex    — CHD-style minimal perfect hash over a key set
-//                          frozen at epoch-commit time (VE-cache base rows,
-//                          dimension-side index probes).
 //
-// The Swiss tables are open-addressing with one control byte per slot:
+// Both are open-addressing with one control byte per slot:
 // 0x80 marks an empty slot, otherwise the byte holds the low 7 bits of the
 // key's hash (H2) and the remaining bits (H1) pick the home slot. Probes
 // scan 16-byte control groups with SSE2 (_mm_cmpeq_epi8 for H2 candidates;
@@ -445,8 +443,10 @@ class SwissBytesTable {
 
   bool KeyEquals(const Slot& s, const void* key, size_t len,
                  uint64_t hash) const {
+    // memcmp with a null pointer is undefined even for zero bytes, and an
+    // empty key against an empty arena passes exactly that.
     return s.hash == hash && s.len == len &&
-           std::memcmp(arena_.data() + s.off, key, len) == 0;
+           (len == 0 || std::memcmp(arena_.data() + s.off, key, len) == 0);
   }
 
   size_t FindSlot(const void* key, size_t len, uint64_t hash) const {
@@ -530,74 +530,6 @@ class SwissBytesTable {
   std::vector<Slot> slots_;
   std::vector<V> vals_;
   std::vector<char> arena_;
-};
-
-// CHD-style minimal perfect hash over a fixed set of distinct uint64 keys,
-// built once when the key set freezes (epoch commit / BuildCache) and
-// probed collision-free afterwards. Lookup returns the key's position in
-// the vector passed to Build (so callers index side arrays built in that
-// order), kNotFound for absent keys, and rejects probes tagged with a
-// different epoch than the build — a structure that outlives its key set
-// fails loudly instead of returning stale positions.
-class PerfectHashIndex {
- public:
-  static constexpr size_t kNotFound = static_cast<size_t>(-1);
-
-  // Builds over `keys` (which must be distinct; duplicate keys fail the
-  // build). Returns false on failure — duplicates, or displacement search
-  // exhaustion — in which case callers keep their generic-hash fallback.
-  static bool Build(const std::vector<uint64_t>& keys, uint64_t epoch,
-                    PerfectHashIndex* out);
-
-  // Position of `key` in the build vector, or kNotFound if absent or if
-  // `epoch` differs from the build epoch.
-  size_t Lookup(uint64_t key, uint64_t epoch) const {
-    if (epoch != epoch_ || keys_by_slot_.empty()) return kNotFound;
-    uint64_t h = swiss::MixU64(key ^ round_salt_);
-    uint32_t d = seeds_[h & (seeds_.size() - 1)];
-    if (d == 0) return kNotFound;
-    // Seeds above the search budget encode a direct slot index — singleton
-    // buckets are placed straight into leftover free slots at build time,
-    // which is what lets the table stay minimal (load factor 1.0) without
-    // the displacement search having to hit one specific slot among n.
-    size_t slot = d >= kDirectBase
-                      ? static_cast<size_t>(d - kDirectBase)
-                      : PositionFor(h, d, keys_by_slot_.size());
-    if (keys_by_slot_[slot] != key) return kNotFound;
-    return ids_by_slot_[slot];
-  }
-
-  uint64_t epoch() const { return epoch_; }
-  size_t size() const { return keys_by_slot_.size(); }
-  // Bytes of auxiliary state per key, for the cost model: seeds plus the
-  // verification keys and id permutation.
-  double BytesPerKey() const {
-    if (keys_by_slot_.empty()) return 0.0;
-    return static_cast<double>(seeds_.size() * sizeof(uint32_t) +
-                               keys_by_slot_.size() * (sizeof(uint64_t) +
-                                                       sizeof(uint32_t))) /
-           static_cast<double>(keys_by_slot_.size());
-  }
-
- private:
-  // Displacement seeds 1..kMaxSeed are search results; kDirectBase + slot
-  // encodes a directly assigned slot for a singleton bucket.
-  static constexpr uint32_t kMaxSeed = 100000;
-  static constexpr uint32_t kDirectBase = kMaxSeed + 1;
-
-  static size_t PositionFor(uint64_t key_hash, uint32_t d, size_t n) {
-    return static_cast<size_t>(
-        swiss::MixU64(key_hash ^ (0x9e3779b97f4a7c15ull * d)) % n);
-  }
-
-  uint64_t epoch_ = 0;
-  // Salt of the build round that succeeded (bucket assignment hash input).
-  uint64_t round_salt_ = 0;
-  // Per-bucket displacement seeds (power-of-two count); 0 = empty bucket.
-  std::vector<uint32_t> seeds_;
-  // Slot -> key (membership verification) and slot -> original position.
-  std::vector<uint64_t> keys_by_slot_;
-  std::vector<uint32_t> ids_by_slot_;
 };
 
 }  // namespace mpfdb::exec

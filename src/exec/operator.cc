@@ -1678,7 +1678,7 @@ StatusOr<bool> JoinProbeNextBatch(ImplT& st, ProbeCursor& pc,
     pc.match_off = 0;
     pc.match_len = 0;
     if (st.dense) {
-      // Perfect index: the packed key addresses its head range directly.
+      // Direct addressing: the packed key indexes its head range.
       const auto& range = st.dense_heads[pc.probe_keys[pc.cur_left]];
       pc.match_start = range.first;
       pc.match_len = range.second;
@@ -1753,11 +1753,9 @@ struct HashProductJoin::Impl {
   std::vector<double> arena_measures;   // aligned with arena_cols rows
   SwissTable<std::pair<uint32_t, uint32_t>> packed_heads{16};
   VecKeyMap<std::pair<uint32_t, uint32_t>> vec_heads;
-  // Perfect-index head "map": when the packed-key universe is small enough
-  // (catalog domains are fixed per epoch), (start, count) ranges live in a
-  // dense array indexed by the packed key itself — collision-free probes
-  // with no hashing at all.
-  bool mph_indexes = true;
+  // Dense head "map": when the packed-key universe is small enough (catalog
+  // domains are fixed per epoch), (start, count) ranges live in an array
+  // indexed by the packed key itself — probes with no hashing at all.
   bool dense = false;
   std::vector<std::pair<uint32_t, uint32_t>> dense_heads;
   std::vector<std::pair<size_t, size_t>> out_left_cols;   // (out col, left col)
@@ -1794,20 +1792,17 @@ struct HashProductJoin::Impl {
 HashProductJoin::~HashProductJoin() = default;
 
 HashProductJoin::HashProductJoin(OperatorPtr left, OperatorPtr right,
-                                 Semiring semiring, const Catalog* catalog,
-                                 bool mph_indexes)
+                                 Semiring semiring, const Catalog* catalog)
     : left_(std::move(left)),
       right_(std::move(right)),
       semiring_(semiring),
-      catalog_(catalog),
-      mph_indexes_(mph_indexes) {
+      catalog_(catalog) {
   schema_ = MakeJoinLayout(left_->output_schema(), right_->output_schema()).schema;
 }
 
 Status HashProductJoin::Open() {
   impl_ = std::make_unique<Impl>();
   impl_->layout = MakeJoinLayout(left_->output_schema(), right_->output_schema());
-  impl_->mph_indexes = mph_indexes_;
   impl_->memory.Bind(ctx_);
   impl_->memory.set_stats(stats_);
   impl_->part_memory.Bind(ctx_);
@@ -1848,10 +1843,10 @@ Status HashProductJoin::BuildBatches() {
     if (st.codec) staged_keys.reserve(rows);
   };
   // A packed-key universe of <= 2^16 slots is cheap unconditionally, so the
-  // dense perfect index is committed before the drain and counts piggyback
-  // on each batch's just-encoded (cache-hot) keys. Larger universes are
-  // decided after the drain, when the staged row count is known.
-  if (st.codec && st.mph_indexes && st.codec->total_bits() <= 16) {
+  // dense head array is committed before the drain and counts piggyback on
+  // each batch's just-encoded (cache-hot) keys. Larger universes are decided
+  // after the drain, when the staged row count is known.
+  if (st.codec && st.codec->total_bits() <= 16) {
     const size_t universe = size_t{1} << st.codec->total_bits();
     if (st.memory
             .Charge(universe * sizeof(std::pair<uint32_t, uint32_t>),
@@ -2077,13 +2072,13 @@ Status HashProductJoin::BuildBatches() {
     // Universes above the pre-drain 2^16 threshold are worth a dense index
     // only when the staged row count amortizes them (counts then need a
     // second pass over the staged keys).
-    if (!st.dense && st.mph_indexes && bits > 16 && bits <= 24 &&
+    if (!st.dense && bits > 16 && bits <= 24 &&
         (size_t{1} << bits) <= total * 8) {
       const size_t universe = size_t{1} << bits;
       Status charge =
           st.memory.Charge(universe * sizeof(std::pair<uint32_t, uint32_t>),
                            "HashProductJoin: build side");
-      if (charge.ok()) {  // the perfect index is optional; hash on breach
+      if (charge.ok()) {  // the dense array is optional; hash on breach
         st.dense = true;
         st.dense_heads.assign(universe, {0, 0});
         for (size_t r = 0; r < total; ++r) {

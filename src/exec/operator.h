@@ -407,10 +407,13 @@ class SortMarginalize : public PhysicalOperator {
 // degenerates to a cross product.
 //
 // The build side is materialized into a flat arena with packed 64-bit keys
-// when `catalog` domain statistics allow (vector-key fallback otherwise), and
-// its head maps are Swiss tables. The arena compaction order follows the
-// table's layout, but each key's match run stays contiguous and
-// insertion-ordered, so emission is independent of it.
+// when `catalog` domain statistics allow (vector-key fallback otherwise).
+// Each key's (start, count) match range lives in a dense array indexed by the
+// packed key when the key universe is small (at most 2^16 slots, or 2^24 when
+// the build side has at least one row per 8 slots), else in a Swiss table.
+// The arena compaction order follows the table's layout, but each key's
+// match run stays contiguous and insertion-ordered, so emission is
+// independent of it.
 //
 // Over the memory budget (with spill enabled) both sides are partitioned to
 // disk by key hash and joined one partition pair at a time. Every probe row
@@ -420,12 +423,8 @@ class SortMarginalize : public PhysicalOperator {
 // operator above it are bit-identical too.
 class HashProductJoin : public PhysicalOperator {
  public:
-  // `mph_indexes` lets the build replace its head hash map with a dense
-  // perfect-index array when the packed-key universe is small — the catalog
-  // fixes domains per epoch, so the array is collision-free by
-  // construction. Pure lookup accelerator; results are bit-identical.
   HashProductJoin(OperatorPtr left, OperatorPtr right, Semiring semiring,
-                  const Catalog* catalog = nullptr, bool mph_indexes = true);
+                  const Catalog* catalog = nullptr);
   ~HashProductJoin() override;
 
   Status Open() override;
@@ -461,7 +460,6 @@ class HashProductJoin : public PhysicalOperator {
   OperatorPtr right_;
   Semiring semiring_;
   const Catalog* catalog_;
-  bool mph_indexes_;
   Schema schema_;
   std::unique_ptr<Impl> impl_;
 };

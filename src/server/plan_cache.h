@@ -31,8 +31,8 @@ struct CachedPlan {
 std::string CanonicalQueryKey(const MpfQuerySpec& spec);
 
 // Fingerprint of everything besides view + query + optimizer that changes
-// which physical plan gets built: the ExecOptions algorithm/engine knobs and
-// the planner-visible memory budget (a finite budget restricts auto mode to
+// which physical plan gets built: the forced join/agg algorithms and the
+// planner-visible memory budget (a finite budget restricts auto mode to
 // spill-capable hash operators, so plans are not interchangeable across
 // budgets).
 std::string ExecFingerprint(const exec::ExecOptions& options,

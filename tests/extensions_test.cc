@@ -275,42 +275,49 @@ TEST_F(ExtensionsTest, VeCacheIncrementalMaintenance) {
 }
 
 TEST_F(ExtensionsTest, VeCacheMaintenanceMphMatchesScanExactly) {
-  // The MPH row locator is a pure accelerator: a cache maintained through it
-  // must stay bit-identical (tolerance 0.0) to one maintained through the
-  // linear scan, across several updates on several base tables.
-  workload::VeCacheOptions with_mph;
-  with_mph.mph_indexes = true;
-  with_mph.epoch = 42;
-  workload::VeCacheOptions without_mph;
-  without_mph.mph_indexes = false;
-  auto fast = workload::VeCache::Build(view_, db_.catalog(), with_mph);
-  ASSERT_TRUE(fast.ok()) << fast.status();
-  auto slow = workload::VeCache::Build(view_, db_.catalog(), without_mph);
-  ASSERT_TRUE(slow.ok()) << slow.status();
-
-  // Clone both so updates don't race through the shared catalog tables.
-  workload::VeCache fast_copy = fast->CloneDeep();
-  workload::VeCache slow_copy = slow->CloneDeep();
+  // Updates locate their base row through the per-table Swiss row locator.
+  // A cache maintained that way must stay bit-identical (tolerance 0.0) to a
+  // fresh Build over the updated base tables, across several updates on
+  // several base tables.
+  auto built = workload::VeCache::Build(view_, db_.catalog());
+  ASSERT_TRUE(built.ok()) << built.status();
+  workload::VeCache maintained = built->CloneDeep();
   for (const char* table_name : {"warehouses", "transporters", "warehouses"}) {
     TablePtr table = *db_.catalog().GetTable(table_name);
     RowView row = table->Row(1);
     std::vector<VarValue> key(row.vars, row.vars + row.arity);
     const double new_measure = row.measure * 1.5 + 0.25;
     ASSERT_TRUE(
-        fast_copy.ApplyBaseMeasureUpdate(table_name, key, new_measure).ok());
-    ASSERT_TRUE(
-        slow_copy.ApplyBaseMeasureUpdate(table_name, key, new_measure).ok());
-    ASSERT_EQ(fast_copy.caches().size(), slow_copy.caches().size());
-    for (size_t i = 0; i < fast_copy.caches().size(); ++i) {
-      EXPECT_TRUE(fr::TablesEqual(*fast_copy.caches()[i],
-                                  *slow_copy.caches()[i],
-                                  /*tolerance=*/0.0))
+        maintained.ApplyBaseMeasureUpdate(table_name, key, new_measure).ok());
+
+    Catalog updated = db_.catalog();
+    for (const TablePtr& base : maintained.base_tables()) {
+      ASSERT_TRUE(updated.ReplaceTable(base).ok()) << base->name();
+    }
+    auto rebuilt = workload::VeCache::Build(view_, updated);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    ASSERT_EQ(maintained.caches().size(), rebuilt->caches().size());
+    for (size_t i = 0; i < maintained.caches().size(); ++i) {
+      EXPECT_TRUE(fr::TablesEqual(*maintained.caches()[i],
+                                  *rebuilt->caches()[i], /*tolerance=*/0.0))
           << table_name << " cache " << i;
+    }
+  }
+  // The locator finds every row of every base table at its own position.
+  for (size_t b = 0; b < maintained.base_tables().size(); ++b) {
+    const Table& base = *maintained.base_tables()[b];
+    for (size_t i = 0; i < base.NumRows(); ++i) {
+      RowView row = base.Row(i);
+      auto located = maintained.LocateBaseRow(
+          b, std::vector<VarValue>(row.vars, row.vars + row.arity));
+      ASSERT_TRUE(located.ok()) << base.name() << " row " << i;
+      ASSERT_EQ(*located, i) << base.name();
     }
   }
   // Absent rows must keep reporting NotFound through the fast path.
   EXPECT_EQ(
-      fast_copy.ApplyBaseMeasureUpdate("warehouses", {9999, 9999}, 1.0).code(),
+      maintained.ApplyBaseMeasureUpdate("warehouses", {9999, 9999}, 1.0)
+          .code(),
       StatusCode::kNotFound);
 }
 

@@ -75,31 +75,21 @@ class ScopedSpillDir {
 struct DriveMode {
   const char* label;
   exec::ExecOptions options;
+  // Run over WideDomainCatalog: multi-variable keys take vector keys.
+  bool wide_domains = false;
 };
 
 const DriveMode kDriveModes[] = {
-    {"batch",
-     {.join = exec::JoinAlgorithm::kHash,
-      .agg = exec::AggAlgorithm::kHash,
-      .packed_keys = false}},
-    {"batch+packed",
-     {.join = exec::JoinAlgorithm::kHash,
-      .agg = exec::AggAlgorithm::kHash,
-      .packed_keys = true}},
+    {"hash/wide",
+     {.join = exec::JoinAlgorithm::kHash, .agg = exec::AggAlgorithm::kHash},
+     /*wide_domains=*/true},
+    {"hash",
+     {.join = exec::JoinAlgorithm::kHash, .agg = exec::AggAlgorithm::kHash}},
     // kAuto: the physical planner picks per-node algorithms (sort-merge
     // joins / sort marginalize where admissible and cheaper). Must still
     // match the forced-hash golden at tolerance 0.0.
     {"auto",
-     {.join = exec::JoinAlgorithm::kAuto,
-      .agg = exec::AggAlgorithm::kAuto,
-      .packed_keys = true}},
-    // MPH costing off: the planner prices every index generically, which may
-    // legally change access-path choices — never result bits.
-    {"auto/nomph",
-     {.join = exec::JoinAlgorithm::kAuto,
-      .agg = exec::AggAlgorithm::kAuto,
-      .packed_keys = true,
-      .mph_indexes = false}},
+     {.join = exec::JoinAlgorithm::kAuto, .agg = exec::AggAlgorithm::kAuto}},
 };
 
 class ParallelDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -118,6 +108,7 @@ TEST_P(ParallelDifferentialTest, BitIdenticalAcrossThreadsModesAndSpill) {
        {Semiring::SumProduct(), Semiring::MaxProduct()}) {
     RandomView rv = MakeRandomView(seed + 4000, 6, 5, /*force_acyclic=*/false);
     rv.view.semiring = semiring;
+    const Catalog wide_catalog = WideDomainCatalog(rv);
 
     MpfQuerySpec query;
     query.group_vars = {Pick(rv.present_vars, rng)};
@@ -137,13 +128,13 @@ TEST_P(ParallelDifferentialTest, BitIdenticalAcrossThreadsModesAndSpill) {
           (*optimizer)->Optimize(rv.view, query, rv.catalog, cost_model);
       ASSERT_TRUE(plan.ok()) << spec << ": " << plan.status();
 
-      // Serial golden: forced-hash, packed keys, no context, no pool. Forcing hash pins the baseline the auto drive mode must
-      // reproduce bit for bit.
+      // Serial golden: forced-hash, packed keys, no context, no pool.
+      // Forcing hash pins the baseline the auto drive mode must reproduce
+      // bit for bit.
       exec::Executor golden_exec(
           rv.catalog, rv.view.semiring,
           exec::ExecOptions{.join = exec::JoinAlgorithm::kHash,
-                            .agg = exec::AggAlgorithm::kHash,
-                            .packed_keys = true});
+                            .agg = exec::AggAlgorithm::kHash});
       auto golden = golden_exec.Execute(**plan, "golden");
       ASSERT_TRUE(golden.ok()) << spec << ": " << golden.status();
 
@@ -161,8 +152,9 @@ TEST_P(ParallelDifferentialTest, BitIdenticalAcrossThreadsModesAndSpill) {
               ctx.set_spill_enabled(true);
               ctx.set_spill_dir(spill_dir.path());
             }
-            exec::Executor executor(rv.catalog, rv.view.semiring,
-                                    mode.options);
+            exec::Executor executor(
+                mode.wide_domains ? wide_catalog : rv.catalog,
+                rv.view.semiring, mode.options);
             auto result = executor.Execute(**plan, "out", &ctx);
             std::string where = std::string(semiring.name()) + "/" + spec +
                                 "/threads=" + std::to_string(threads) + "/" +
@@ -336,7 +328,6 @@ TEST(DatabaseParallelTest, ThreadCountNeverChangesAnswers) {
     TablePtr reference;
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       exec::ExecOptions options;
-      options.packed_keys = true;
       options.num_threads = threads;
       db.set_exec_options(options);
       auto result = db.Query("invest", query);

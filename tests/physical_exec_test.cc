@@ -74,8 +74,7 @@ TablePtr SortedRandomTable(const std::string& name,
 
 exec::ExecOptions ForcedHash() {
   return exec::ExecOptions{.join = exec::JoinAlgorithm::kHash,
-                           .agg = exec::AggAlgorithm::kHash,
-                           .packed_keys = true};
+                           .agg = exec::AggAlgorithm::kHash};
 }
 
 class PhysicalExecDifferentialTest : public ::testing::TestWithParam<uint64_t> {

@@ -73,8 +73,9 @@ TEST_P(RandomSchemaTest, AllOptimizersAgreeWithNaive) {
 
 // How the batch engine runs a plan is not a semantics choice: over random
 // schemas, random optimizer plans, and the counting, probability, and
-// max-product semirings, every configuration — packed or vector keys, 1 or
-// 4 threads, spill off or on, cost-chosen or forced-hash operators — must
+// max-product semirings, every configuration — packed keys or, over 2^40
+// variable domains, vector keys; 1 or 4 threads; spill off or on;
+// cost-chosen or forced-hash operators — must
 // agree bit for bit. The row-at-a-time reference is fr::EvaluateNaiveMpf,
 // the tuple-at-a-time algebra evaluator, matched exactly where the measures
 // are integers (counting) and within 1e-9 otherwise.
@@ -102,6 +103,7 @@ TEST_P(RandomSchemaTest, VectorizedExecutionMatchesRowAtATime) {
         for (size_t r = 0; r < t->NumRows(); ++r) t->set_measure(r, 1.0);
       }
     }
+    const Catalog wide_catalog = WideDomainCatalog(rv);
     MpfQuerySpec query;
     query.group_vars = {Pick(rv.present_vars, rng)};
     if (rng.Bernoulli(0.5)) {
@@ -130,14 +132,14 @@ TEST_P(RandomSchemaTest, VectorizedExecutionMatchesRowAtATime) {
 
       TablePtr reference;
       for (bool forced : {false, true}) {
-        for (bool packed : {false, true}) {
+        for (bool wide : {false, true}) {
           exec::ExecOptions options;
           if (forced) {
             options.join = exec::JoinAlgorithm::kHash;
             options.agg = exec::AggAlgorithm::kHash;
           }
-          options.packed_keys = packed;
-          exec::Executor executor(rv.catalog, rv.view.semiring, options);
+          exec::Executor executor(wide ? wide_catalog : rv.catalog,
+                                  rv.view.semiring, options);
           for (size_t threads : {1u, 4u}) {
             exec::ThreadPool pool(threads);
             for (bool spill : {false, true}) {
@@ -151,7 +153,7 @@ TEST_P(RandomSchemaTest, VectorizedExecutionMatchesRowAtATime) {
               const std::string where =
                   std::string(variant.label) + "/" + spec +
                   (forced ? "/hash" : "/auto") +
-                  (packed ? "/packed" : "/vector") +
+                  (wide ? "/wide" : "/packed") +
                   "/threads=" + std::to_string(threads) +
                   (spill ? "/spill" : "/mem");
               ASSERT_TRUE(result.ok()) << where << ": " << result.status();

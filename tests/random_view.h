@@ -97,6 +97,21 @@ inline RandomView MakeRandomView(uint64_t seed, int num_vars, int num_rels,
   return rv;
 }
 
+// A catalog over `rv`'s tables whose variables are re-registered with domain
+// 2^40 and unchanged values: every key over two or more variables then needs
+// more than 64 bits, so the hash joins and aggregations of an Executor over
+// it take the vector-key path instead of packed keys.
+inline Catalog WideDomainCatalog(const RandomView& rv) {
+  Catalog wide;
+  for (const std::string& var : rv.vars) {
+    EXPECT_TRUE(wide.RegisterVariable(var, int64_t{1} << 40).ok());
+  }
+  for (const TablePtr& table : rv.tables) {
+    EXPECT_TRUE(wide.RegisterTable(table).ok());
+  }
+  return wide;
+}
+
 // Uniform choice from a non-empty list.
 inline const std::string& Pick(const std::vector<std::string>& items,
                                Rng& rng) {
